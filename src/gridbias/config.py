@@ -120,7 +120,9 @@ class ExperimentConfig:
         horizon = float(self.model.horizon)
         self.plan_star.to_plan(horizon)
         self.plan_base.to_plan(horizon)
+        _require(_is_int(self.seed), f"seed: must be an integer, got {self.seed!r}")
         _require(self.seed >= 0, "seed: must be non-negative")
+        _require(_is_int(self.threads), f"threads: must be an integer, got {self.threads!r}")
         _require(self.threads >= 1, "threads: must be >= 1")
         bt = self.bias_table
         for key in ("beta11", "beta21", "beta12", "j_values"):
@@ -180,6 +182,11 @@ class ExperimentConfig:
         law = {k: v for k, v in self.to_dict().items() if k not in ("out_dir", "threads")}
         payload = repr(sorted(law.items())).encode()
         return hashlib.sha256(payload).hexdigest()[:12]
+
+
+def _is_int(value) -> bool:
+    # bool is a subclass of int, but ``seed: true`` is a typo, not a seed.
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _require(cond: bool, message: str) -> None:

@@ -3,14 +3,17 @@
 A pooled linear transition model ``Y_k ~ 1 + Y_{k-1} + W_{k-1}`` is fit by
 ordinary least squares across all units and steps (the process is
 temporally homogeneous, so pooling is valid and far more stable than per-k
-fits at realistic sample sizes).  Under a homoscedastic linear transition
+fits at realistic sample sizes).  The fit solves the normal equations
+summed from per-unit Gram matrices and moments, so a bootstrap resample is
+fit from its unit counts alone.  Under a homoscedastic linear transition
 model the iterated-expectation identification functional collapses exactly
 to the mean recursion ``y_k = a + b y_{k-1} + c w(t_{k-1})``, so the
 plug-in estimate needs no numerical integration.
 
 Interval estimates come from a nonparametric bootstrap that resamples
 whole units with replacement (preserving within-unit dependence) and uses
-percentile intervals with linearly interpolated order statistics.
+percentile intervals with linearly interpolated order statistics; all
+replicates are fit in one batch.
 
 The half-grid sensitivity measure compares the full-grid estimate with the
 one recomputed on every second grid point: it is 0 when the confidence
@@ -43,9 +46,19 @@ __all__ = [
     "zeta",
 ]
 
-# Bootstrap replicates whose refit fails are skipped; beyond this fraction
-# the interval is considered meaningless and an error is raised.
+# Bootstrap replicates whose design is rank deficient are skipped; beyond
+# this fraction the interval is considered meaningless and an error is raised.
 MAX_BOOT_FAILURE_FRACTION = 0.10
+
+# A design is rank deficient when the smallest eigenvalue of its Gram matrix
+# X'X is at or below this fraction of the largest.  Forming X'X squares the
+# condition number of X, so an exactly collinear design (a constant
+# treatment column, fewer than three transitions) shows up at rounding
+# level, about 1e-16 of the largest eigenvalue, while bootstrap resamples of
+# the default study sweep's panels sit at 1e-5 and above.  Coefficients
+# solved from a system closer to singular than this would keep fewer than
+# six significant digits.
+GRAM_EIG_RTOL = 1e-10
 
 
 class DegenerateDesignError(ValueError):
@@ -54,7 +67,7 @@ class DegenerateDesignError(ValueError):
 
 
 class BootstrapFailureError(RuntimeError):
-    """Too many bootstrap replicates failed to refit."""
+    """Too many bootstrap replicates had rank-deficient designs."""
 
 
 @dataclass(frozen=True)
@@ -110,41 +123,96 @@ class ZetaReport:
             raise ValueError("interval covers zero, so the measure must be zero")
 
 
-def _design(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pooled (X, y) for the transition regression from a value array."""
-    y_lag = values[:, :-1, 0].ravel()
-    w_lag = values[:, :-1, 1].ravel()
-    y_next = values[:, 1:, 0].ravel()
-    x = np.column_stack((np.ones_like(y_lag), y_lag, w_lag))
-    return x, y_next
+def _unit_statistics(values: np.ndarray) -> np.ndarray:
+    """Per-unit sufficient statistics of the pooled fit, one row per unit:
+    the Gram matrix ``X_i'X_i`` (9 entries, row-major), the moments
+    ``X_i'y_i`` (3) and the baseline outcome ``Y_i0`` (1)."""
+    y_lag = values[:, :-1, 0]
+    x = np.stack((np.ones_like(y_lag), y_lag, values[:, :-1, 1]), axis=2)
+    gram = np.einsum("nji,njk->nik", x, x).reshape(len(values), 9)
+    moment = np.einsum("nji,nj->ni", x, values[:, 1:, 0])
+    return np.column_stack((gram, moment, values[:, 0, 0]))
 
 
-def _fit_values(values: np.ndarray) -> TransitionFit:
-    x, y = _design(values)
-    if y.size < 3:
-        raise DegenerateDesignError(
-            f"need at least 3 pooled transitions, got {y.size}"
-        )
-    coef, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
-    if rank < 3:
+def _fit(
+    values: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pooled OLS on every resample given by a row of ``counts``.
+
+    ``counts[b, i]`` is how often unit ``i`` appears in resample ``b`` (all
+    ones for the sample itself).  Returns the coefficients ``(B, 3)``, the
+    baseline outcome means ``(B,)`` and a mask of rank-deficient resamples,
+    whose coefficients are set to zero.  Totals are summed relative to unit
+    0, ``n S_0 + sum_i c_i (S_i - S_0)``, so that resamples of identical
+    units give bit-identical totals whatever their counts.
+    """
+    n = len(values)
+    stats = _unit_statistics(values)
+    total = n * stats[0] + counts @ (stats - stats[0])
+    gram = total[:, :9].reshape(-1, 3, 3)
+    moment = total[:, 9:12]
+    eig = np.linalg.eigvalsh(gram)
+    degenerate = eig[:, 0] <= GRAM_EIG_RTOL * eig[:, -1]
+    gram = np.where(degenerate[:, None, None], np.eye(3), gram)
+    moment = np.where(degenerate[:, None], 0.0, moment)
+    coef = np.linalg.solve(gram, moment[:, :, None])[:, :, 0]
+    return coef, total[:, 12] / n, degenerate
+
+
+def _sample_fit(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_fit` of the sample itself (one all-ones resample); raises
+    :class:`DegenerateDesignError` if its design is rank deficient."""
+    coef, y0_mean, degenerate = _fit(values, np.ones((1, len(values))))
+    if degenerate[0]:
+        n_transitions = len(values) * (values.shape[1] - 1)
+        if n_transitions < 3:
+            raise DegenerateDesignError(
+                f"need at least 3 pooled transitions, got {n_transitions}"
+            )
         raise DegenerateDesignError(
             "transition design is rank deficient (constant regressor?)"
         )
-    resid = y - x @ coef
-    dof = y.size - 3
-    resid_var = float(resid @ resid / dof) if dof > 0 else 0.0
-    return TransitionFit(
-        intercept=float(coef[0]),
-        lag_outcome=float(coef[1]),
-        lag_treatment=float(coef[2]),
-        residual_variance=resid_var,
-        n_transitions=int(y.size),
+    return coef, y0_mean
+
+
+def _plugin(a, b, c, y0_mean, plan: TreatmentPlan, grid):
+    """The recursion ``y_k = a + b y_{k-1} + c w(t_{k-1})`` from ``y_0``;
+    elementwise over arrays of coefficients."""
+    w = plan.values_at(grid.times[:-1])
+    y = y0_mean
+    for k in range(grid.J):
+        y = a + b * y + c * w[k]
+    return y
+
+
+def _contrast(
+    coef: np.ndarray,
+    y0_mean: np.ndarray,
+    grid,
+    plan_star: TreatmentPlan,
+    plan_base: TreatmentPlan,
+) -> np.ndarray:
+    a, b, c = coef.T
+    return _plugin(a, b, c, y0_mean, plan_star, grid) - _plugin(
+        a, b, c, y0_mean, plan_base, grid
     )
 
 
 def fit_transition(panel: TrajectoryPanel) -> TransitionFit:
     """Fit the pooled transition model to every (unit, step) pair."""
-    return _fit_values(panel.values)
+    values = panel.values
+    coef, _ = _sample_fit(values)
+    a, b, c = coef[0]
+    resid = values[:, 1:, 0] - (a + b * values[:, :-1, 0] + c * values[:, :-1, 1])
+    dof = resid.size - 3
+    resid_var = float(np.sum(resid * resid) / dof) if dof > 0 else 0.0
+    return TransitionFit(
+        intercept=float(a),
+        lag_outcome=float(b),
+        lag_treatment=float(c),
+        residual_variance=resid_var,
+        n_transitions=int(resid.size),
+    )
 
 
 def gformula_plugin(
@@ -156,11 +224,9 @@ def gformula_plugin(
     for a linear homoscedastic transition model this equals the full
     iterated-expectation functional exactly.
     """
-    w = plan.values_at(grid.times[:-1])
-    y = y0_mean
-    for k in range(grid.J):
-        y = fit.intercept + fit.lag_outcome * y + fit.lag_treatment * w[k]
-    return float(y)
+    return float(
+        _plugin(fit.intercept, fit.lag_outcome, fit.lag_treatment, y0_mean, plan, grid)
+    )
 
 
 def estimate_contrast(
@@ -168,24 +234,22 @@ def estimate_contrast(
 ) -> ContrastEstimate:
     """Plug-in contrast between two schedules, sharing one fit and one
     baseline outcome mean."""
-    fit = fit_transition(panel)
-    y0_mean = float(panel.values[:, 0, 0].mean())
-    tau = gformula_plugin(fit, y0_mean, plan_star, panel.grid) - gformula_plugin(
-        fit, y0_mean, plan_base, panel.grid
-    )
+    coef, y0_mean = _sample_fit(panel.values)
+    tau = _contrast(coef, y0_mean, panel.grid, plan_star, plan_base)
     return ContrastEstimate(
-        tau_hat=tau, J=panel.grid.J, plan_star=plan_star, plan_base=plan_base
+        tau_hat=float(tau[0]), J=panel.grid.J, plan_star=plan_star, plan_base=plan_base
     )
 
 
-def _contrast_of_values(
-    values: np.ndarray, grid, plan_star: TreatmentPlan, plan_base: TreatmentPlan
-) -> float:
-    fit = _fit_values(values)
-    y0_mean = float(values[:, 0, 0].mean())
-    return gformula_plugin(fit, y0_mean, plan_star, grid) - gformula_plugin(
-        fit, y0_mean, plan_base, grid
-    )
+def _resample_counts(n: int, n_boot: int, seed: int) -> np.ndarray:
+    """``(n_boot, n)`` unit multiplicities; replicate ``b`` draws ``n``
+    indices from the stream ``SeedSequence((seed, b))``."""
+    idx = np.empty((n_boot, n), dtype=np.int64)
+    for b in range(n_boot):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
+        idx[b] = rng.integers(0, n, size=n)
+    idx += n * np.arange(n_boot)[:, None]
+    return np.bincount(idx.ravel(), minlength=n_boot * n).reshape(n_boot, n).astype(float)
 
 
 def bootstrap_ci(
@@ -200,32 +264,26 @@ def bootstrap_ci(
 
     Resamples whole units with replacement; replicate ``b`` draws its
     indices from the stream ``SeedSequence((seed, b))``, so the interval is
-    deterministic given the seed and independent of evaluation order.
+    deterministic given the seed and independent of evaluation order.  The
+    pooled fit depends on the data only through per-unit sufficient
+    statistics, so a replicate is not refit on copied data: its unit counts
+    weight those statistics, and one batched 3x3 solve fits all replicates.
     Quantiles interpolate linearly between order statistics.  Replicates
-    whose refit is degenerate are skipped; more than 10% failures raises
-    :class:`BootstrapFailureError`.
+    whose design is rank deficient are skipped; more than 10% of them
+    raises :class:`BootstrapFailureError`.
     """
     if n_boot < 2:
         raise ValueError("need at least 2 bootstrap replicates")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    n = panel.n
-    stats = []
-    failures = 0
-    for b in range(n_boot):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
-        idx = rng.integers(0, n, size=n)
-        try:
-            stats.append(
-                _contrast_of_values(panel.values[idx], panel.grid, plan_star, plan_base)
-            )
-        except DegenerateDesignError:
-            failures += 1
+    coef, y0_mean, degenerate = _fit(panel.values, _resample_counts(panel.n, n_boot, seed))
+    stats = _contrast(coef, y0_mean, panel.grid, plan_star, plan_base)
+    failures = int(degenerate.sum())
     if failures > MAX_BOOT_FAILURE_FRACTION * n_boot:
         raise BootstrapFailureError(
             f"{failures}/{n_boot} bootstrap replicates had degenerate designs"
         )
-    lower, upper = np.quantile(stats, [alpha / 2.0, 1.0 - alpha / 2.0])
+    lower, upper = np.quantile(stats[~degenerate], [alpha / 2.0, 1.0 - alpha / 2.0])
     return float(lower), float(upper)
 
 

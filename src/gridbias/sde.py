@@ -343,6 +343,9 @@ def write_panel_csv(panel: TrajectoryPanel, path) -> None:
 def read_panel_csv(path, seed: int = -1) -> TrajectoryPanel:
     """Rebuild a panel from :func:`write_panel_csv` output.
 
+    The rows must form a complete grid: exactly one row per ``(unit, k)``
+    for units ``0..n-1`` and steps ``0..J``, with ``t`` equal to the grid
+    time ``Grid(J, T).times[k]``.  Anything else raises ``ValueError``.
     The CSV does not carry the seed; pass it explicitly if known.
     """
     with open(path, newline="") as fh:
@@ -353,11 +356,25 @@ def read_panel_csv(path, seed: int = -1) -> TrajectoryPanel:
         rows = [(int(u), int(k), float(t), float(y), float(w)) for u, k, t, y, w in reader]
     if not rows:
         raise ValueError("empty panel CSV")
+    if min(min(r[0], r[1]) for r in rows) < 0:
+        raise ValueError("panel CSV has a negative unit or step index")
     n = max(r[0] for r in rows) + 1
     J = max(r[1] for r in rows)
-    T = max(r[2] for r in rows)
-    values = np.empty((n, J + 1, 2))
-    for u, k, _t, y, w in rows:
-        values[u, k, 0] = y
-        values[u, k, 1] = w
-    return TrajectoryPanel(grid=Grid(J=J, T=T), n=n, values=values, seed=seed)
+    grid = Grid(J=J, T=max(r[2] for r in rows))
+    times = grid.times
+    values = np.zeros((n, J + 1, 2))
+    seen = np.zeros((n, J + 1), dtype=bool)
+    for u, k, t, y, w in rows:
+        if seen[u, k]:
+            raise ValueError(f"panel CSV repeats the row of unit {u}, step {k}")
+        if t != times[k]:
+            raise ValueError(
+                f"panel CSV row of unit {u}, step {k} has t={t!r}, "
+                f"grid time is {float(times[k])!r}"
+            )
+        seen[u, k] = True
+        values[u, k] = y, w
+    if not seen.all():
+        u, k = np.argwhere(~seen)[0]
+        raise ValueError(f"panel CSV is missing the row of unit {u}, step {k}")
+    return TrajectoryPanel(grid=grid, n=n, values=values, seed=seed)

@@ -112,6 +112,15 @@ class TestCliExitCodes:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["seed", "threads"])
+    @pytest.mark.parametrize("value", ["abc", 2.5, True])
+    def test_non_integer_seed_or_threads_is_exit_2(self, key, value, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump({key: value}))
+        code = main(["bias-table", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{key}: must be an integer" in capsys.readouterr().err
+
     def test_numerical_failure_is_exit_3(self, tmp_path, capsys):
         # A single unit on a two-step grid yields 2 pooled transitions,
         # which cannot identify three regression coefficients.

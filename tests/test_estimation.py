@@ -22,7 +22,9 @@ from gridbias import (
     theta_naive,
     zeta,
 )
+from gridbias.estimation import _fit, _resample_counts
 from tests.conftest import make_params
+from tests.lstsq_oracle import lstsq_bootstrap, lstsq_coefficients, lstsq_contrast
 
 
 def synthetic_panel(a, b, c, n=6, J=5, seed=0, noise=0.0):
@@ -38,6 +40,18 @@ def synthetic_panel(a, b, c, n=6, J=5, seed=0, noise=0.0):
             + c * values[:, k, 1]
             + noise * rng.standard_normal(n)
         )
+    return TrajectoryPanel(grid=Grid(J=J, T=1.0), n=n, values=values, seed=seed)
+
+
+def partly_constant_treatment_panel(n, varying, J=5, seed=0):
+    """Panel whose treatment is the constant 1.0 except in the last
+    ``varying`` units; a resample that misses all of those has a treatment
+    column equal to the intercept column."""
+    rng = np.random.default_rng(seed)
+    values = np.empty((n, J + 1, 2))
+    values[:, :, 0] = rng.standard_normal((n, J + 1))
+    values[:, :, 1] = 1.0
+    values[n - varying :, :, 1] = rng.uniform(-1, 1, size=(varying, J + 1))
     return TrajectoryPanel(grid=Grid(J=J, T=1.0), n=n, values=values, seed=seed)
 
 
@@ -192,6 +206,48 @@ class TestBootstrapCi:
             bootstrap_ci(panel, plan_one, plan_zero, 1, 0.05, seed=1)
         with pytest.raises(ValueError):
             bootstrap_ci(panel, plan_one, plan_zero, 10, 1.5, seed=1)
+
+
+class TestAgainstLstsqOracle:
+    """The count-weighted route against per-replicate lstsq refits."""
+
+    @pytest.mark.parametrize("J", [8, 40])
+    def test_fit_coefficients_match_lstsq(self, ref_params, J):
+        panel = simulate_panel(ref_params, Grid(J=J, T=1.0), 200, seed=40 + J)
+        fit = fit_transition(panel)
+        got = [fit.intercept, fit.lag_outcome, fit.lag_treatment]
+        np.testing.assert_allclose(got, lstsq_coefficients(panel.values), rtol=1e-9)
+
+    @pytest.mark.parametrize("J", [8, 40])
+    def test_bootstrap_matches_lstsq_refits(self, ref_params, plan_one, plan_zero, J):
+        panel = simulate_panel(ref_params, Grid(J=J, T=1.0), 200, seed=50 + J)
+        tau = estimate_contrast(panel, plan_one, plan_zero).tau_hat
+        lo, hi = bootstrap_ci(panel, plan_one, plan_zero, 500, 0.05, seed=J)
+        want_lo, want_hi, dropped = lstsq_bootstrap(panel, plan_one, plan_zero, 500, 0.05, J)
+        assert not dropped.any()
+        want_tau = lstsq_contrast(panel.values, panel.grid, plan_one, plan_zero)
+        assert tau == pytest.approx(want_tau, rel=1e-9)
+        assert lo == pytest.approx(want_lo, rel=1e-9)
+        assert hi == pytest.approx(want_hi, rel=1e-9)
+
+    def test_partial_degeneracy_drops_the_oracle_replicates(self, plan_one, plan_zero):
+        # 3 varying units of 50: (47/50)^50, about 4.5% of resamples miss them all.
+        panel = partly_constant_treatment_panel(n=50, varying=3)
+        _, _, degenerate = _fit(panel.values, _resample_counts(panel.n, 500, seed=7))
+        want_lo, want_hi, dropped = lstsq_bootstrap(panel, plan_one, plan_zero, 500, 0.05, 7)
+        assert 0 < dropped.sum() <= 50
+        np.testing.assert_array_equal(degenerate, dropped)
+        lo, hi = bootstrap_ci(panel, plan_one, plan_zero, 500, 0.05, seed=7)
+        assert lo == pytest.approx(want_lo, rel=1e-9)
+        assert hi == pytest.approx(want_hi, rel=1e-9)
+
+    def test_mostly_degenerate_resamples_raise(self, plan_one, plan_zero):
+        # 1 varying unit of 50: (49/50)^50, about 36% of resamples miss it.
+        panel = partly_constant_treatment_panel(n=50, varying=1)
+        _, _, dropped = lstsq_bootstrap(panel, plan_one, plan_zero, 500, 0.05, 7)
+        assert dropped.mean() > 0.10
+        with pytest.raises(BootstrapFailureError):
+            bootstrap_ci(panel, plan_one, plan_zero, 500, 0.05, seed=7)
 
 
 class TestSensitivityRatio:

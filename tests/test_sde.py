@@ -319,6 +319,41 @@ class TestPanelCsv:
         assert back.n == panel.n
         np.testing.assert_array_equal(back.values, panel.values)
 
+    @staticmethod
+    def _written_lines(ref_params, tmp_path):
+        path = tmp_path / "panel.csv"
+        write_panel_csv(simulate_panel(ref_params, Grid(J=4, T=1.0), 3, seed=5), path)
+        return path, path.read_text().splitlines()
+
+    def test_missing_row_is_rejected(self, ref_params, tmp_path):
+        path, lines = self._written_lines(ref_params, tmp_path)
+        del lines[7]  # unit 1, k 1
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="missing the row of unit 1, step 1"):
+            read_panel_csv(path)
+
+    def test_duplicate_row_is_rejected(self, ref_params, tmp_path):
+        path, lines = self._written_lines(ref_params, tmp_path)
+        lines.append(lines[3])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="repeats the row of unit 0, step 2"):
+            read_panel_csv(path)
+
+    def test_negative_index_is_rejected(self, ref_params, tmp_path):
+        path, lines = self._written_lines(ref_params, tmp_path)
+        lines[1] = "-1" + lines[1][1:]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="negative unit or step index"):
+            read_panel_csv(path)
+
+    def test_off_grid_time_is_rejected(self, ref_params, tmp_path):
+        path, lines = self._written_lines(ref_params, tmp_path)
+        u, k, _t, y, w = lines[2].split(",")
+        lines[2] = ",".join((u, k, "0.3", y, w))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="t=0.3, grid time is 0.25"):
+            read_panel_csv(path)
+
     def test_values_are_shortest_round_trip_decimals(self, ref_params, tmp_path):
         panel = simulate_panel(ref_params, Grid(J=2, T=1.0), 2, seed=4)
         path = tmp_path / "panel.csv"
