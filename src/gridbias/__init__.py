@@ -6,7 +6,6 @@ from .estimands import (
     TreatmentPlan,
     estimand_report,
     identification_bias,
-    identification_bias_expanded,
     plan_integral,
     theta_g,
     theta_naive,
@@ -26,7 +25,7 @@ from .estimation import (
     sensitivity_ratio,
     zeta,
 )
-from .linalg2 import EigenPair2, eigen2, matexp, matexp_oracle, s0s1
+from .linalg2 import EigenPair2, eigen2, expm_series, matexp, s0s1
 from .sde import (
     Grid,
     ModelParams,

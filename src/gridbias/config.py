@@ -180,8 +180,27 @@ class ExperimentConfig:
         cell's law (used to key CSV rows across runs).  Output location and
         worker count are excluded: they must not change results."""
         law = {k: v for k, v in self.to_dict().items() if k not in ("out_dir", "threads")}
-        payload = repr(sorted(law.items())).encode()
+        payload = repr(sorted(_typed_leaves(law).items())).encode()
         return hashlib.sha256(payload).hexdigest()[:12]
+
+
+# Fields whose numbers are counts; every other number in a config is a float.
+_INT_FIELDS = frozenset({"j_values", "n_units", "n_boot", "replicates", "j", "seed"})
+
+
+def _typed_leaves(node, key: str = ""):
+    """``node`` with each number cast to its field's type, so that
+    ``horizon: 1`` and ``horizon: 1.0`` hash alike.  Non-integral values of
+    count fields and bools are left as written."""
+    if isinstance(node, dict):
+        return {k: _typed_leaves(v, k) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_typed_leaves(v, key) for v in node]
+    if isinstance(node, bool) or not isinstance(node, (int, float)):
+        return node
+    if key in _INT_FIELDS:
+        return int(node) if float(node).is_integer() else node
+    return float(node)
 
 
 def _is_int(value) -> bool:

@@ -5,12 +5,13 @@ The quantities computed for a drift matrix ``beta``, horizon ``T``, and a
 deterministic treatment schedule ``w`` on ``[0, T]``:
 
 * ``true_eta`` -- the continuous-time counterfactual mean
-  ``e^{-b11 T} E[Y0] - b12 * int_0^T w(s) e^{b11 (s - T)} ds``.
+  ``e^{-b11 T} E[Y0] - b12 * int_0^T w(s) e^{b11 (s - T)} ds``; every
+  schedule is piecewise constant, so the integral is a closed-form sum
+  over its pieces.
 * ``theta_g`` -- the iterated-regression functional on an equidistant grid
   of ``J`` steps, driven by the one-step map ``gamma(J) = e^{-beta T/J}``
   and the schedule sampled at left endpoints ``t_i = i T / J``.
-* ``identification_bias`` -- their difference, also available as the
-  equivalent three-term expansion used for cross-checking.
+* ``identification_bias`` -- their difference.
 * ``theta_naive`` -- the outcome-history-only adjustment and its dense-grid
   limit (the factual mean), which does not converge to ``true_eta``.
 """
@@ -32,14 +33,10 @@ __all__ = [
     "true_eta",
     "theta_g",
     "identification_bias",
-    "identification_bias_expanded",
     "theta_naive",
     "theta_naive_limit",
     "estimand_report",
 ]
-
-DEFAULT_SIMPSON_PANELS = 10_000
-
 
 @dataclass(frozen=True)
 class TreatmentPlan:
@@ -53,6 +50,7 @@ class TreatmentPlan:
       closed on the left.
     * ``tabulated``: left-step interpolation of knot ``times`` (starting at
       0) and ``values``; ``w(t)`` is the value at the largest knot <= t.
+      A knot may sit at the horizon; it sets ``w(horizon)`` only.
 
     Instances are immutable; use the factory classmethods.
     """
@@ -147,21 +145,13 @@ def _exp_weight_integral(lo: float, hi: float, b: float, rate: float) -> float:
     return math.exp(rate * (lo - b)) * math.expm1(rate * (hi - lo)) / rate
 
 
-def plan_integral(
-    plan: TreatmentPlan,
-    a: float,
-    b: float,
-    rate: float,
-    *,
-    simpson_panels: int = DEFAULT_SIMPSON_PANELS,
-) -> float:
+def plan_integral(plan: TreatmentPlan, a: float, b: float, rate: float) -> float:
     """``int_a^b w(s) e^{rate (s - b)} ds`` for a treatment schedule ``w``.
 
-    Constant and piecewise plans integrate in closed form per piece.
-    Tabulated plans use composite Simpson quadrature with ``simpson_panels``
-    panels (each panel contributes the 1-4-1 rule on its midpoint); relative
-    accuracy is ~1e-9 or better on smooth integrands, coarser across the
-    step discontinuities of a tabulated plan.
+    Every plan kind is constant between its jumps (the piecewise
+    breakpoints, the tabulated knots after 0; a constant plan has none), so
+    the integral is exact: a closed-form exponential integral per piece of
+    ``[a, b]``, weighted by the schedule's value on that piece.
     """
     if a > b:
         raise ValueError("integration bounds must satisfy a <= b")
@@ -169,25 +159,12 @@ def plan_integral(
         raise ValueError("integration bounds outside the plan domain")
     if a == b:
         return 0.0
-
-    if plan.kind == "constant":
-        return plan.value * _exp_weight_integral(a, b, b, rate)
-
-    if plan.kind == "piecewise":
-        cuts = [a] + [p for p in plan.breakpoints if a < p < b] + [b]
-        total = 0.0
-        for lo, hi in zip(cuts, cuts[1:]):
-            total += plan((lo + hi) / 2.0) * _exp_weight_integral(lo, hi, b, rate)
-        return total
-
-    if simpson_panels < 1:
-        raise ValueError("simpson_panels must be >= 1")
-    edges = np.linspace(a, b, simpson_panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    f_edges = plan.values_at(edges) * np.exp(rate * (edges - b))
-    f_mids = plan.values_at(mids) * np.exp(rate * (mids - b))
-    h = (b - a) / simpson_panels
-    return float(h / 6.0 * (f_edges[0] + f_edges[-1] + 2.0 * f_edges[1:-1].sum() + 4.0 * f_mids.sum()))
+    jumps = plan.breakpoints if plan.kind == "piecewise" else plan.times[1:]
+    cuts = [a] + [p for p in jumps if a < p < b] + [b]
+    total = 0.0
+    for lo, hi in zip(cuts, cuts[1:]):
+        total += plan((lo + hi) / 2.0) * _exp_weight_integral(lo, hi, b, rate)
+    return total
 
 
 def _require_plan_covers(plan: TreatmentPlan, horizon: float) -> None:
@@ -237,33 +214,6 @@ def theta_g(params, plan: TreatmentPlan, J: int) -> float:
 def identification_bias(params, plan: TreatmentPlan, J: int) -> float:
     """``theta_g - true_eta`` (direct subtraction; the production form)."""
     return theta_g(params, plan, J) - true_eta(params, plan)
-
-
-def identification_bias_expanded(params, plan: TreatmentPlan, J: int) -> float:
-    """Three-term expansion of the bias, kept as a cross-check.
-
-    ``(g11^J - e^{-b11 T}) E[Y0] + g12 * S + b12 * int_0^T w(s) e^{b11(s-T)} ds``
-    with ``S = sum_{i<J} w(t_i) g11^{J-i-1}`` accumulated by Horner
-    recursion.  Agrees with :func:`identification_bias` up to roundoff on
-    the scale of the individual terms.
-    """
-    if J < 1:
-        raise ValueError("J must be >= 1")
-    _require_plan_covers(plan, params.horizon)
-    b11 = params.beta[0, 0]
-    b12 = params.beta[0, 1]
-    ey0 = params.init_mean[0]
-    g = _gamma(params, J)
-    g11, g12 = g[0, 0], g[0, 1]
-    w = plan.values_at(np.arange(J) * (params.horizon / J))
-    power_sum = 0.0
-    for k in range(J):
-        power_sum = g11 * power_sum + w[k]
-    return float(
-        (g11**J - math.exp(-b11 * params.horizon)) * ey0
-        + g12 * power_sum
-        + b12 * plan_integral(plan, 0.0, params.horizon, b11)
-    )
 
 
 def theta_naive_limit(params) -> float:

@@ -1,4 +1,4 @@
-"""Closed-form 2x2 matrix exponentials.
+"""Matrix exponentials: closed form for 2x2, Taylor series for any size.
 
 For a real 2x2 matrix ``m`` with eigenvalues ``lam1, lam2``, the exponential
 ``e^{t m}`` equals ``s0(t) I + s1(t) m`` with scalar coefficient functions
@@ -12,8 +12,10 @@ For a real 2x2 matrix ``m`` with eigenvalues ``lam1, lam2``, the exponential
 Complex-conjugate pairs ``a +/- ib`` are evaluated in real arithmetic:
 ``s1(t) = e^{a t} sin(b t) / b``, ``s0(t) = e^{a t} (cos(b t) - a sin(b t)/b)``.
 
-A truncated-Taylor scaling-and-squaring exponential is provided as an
-independent cross-check; it shares no code with the closed-form path.
+:func:`expm_series` is a truncated-Taylor scaling-and-squaring exponential
+of any real square matrix.  It computes the 4x4 block exponential behind
+the transition noise covariance, and, sharing no code with the closed-form
+path, it is also the independent check of :func:`matexp`.
 All functions are pure and safe for concurrent use.
 """
 
@@ -29,7 +31,7 @@ __all__ = [
     "eigen2",
     "s0s1",
     "matexp",
-    "matexp_oracle",
+    "expm_series",
 ]
 
 # Relative gap below which a near-repeated eigenvalue pair is collapsed to a
@@ -37,11 +39,9 @@ __all__ = [
 # cancellation, so below this the repeated-root branch is more accurate.
 COLLAPSE_RTOL = 1e-9
 
-# Taylor-series order and the input bound at which the oracle's truncation
-# error stays below 1e-13: after scaling, ||t*m||_inf / 2^s <= 20/512, and the
-# 25-term tail at that argument is ~1e-61 before squaring amplification.
-ORACLE_TERMS = 25
-ORACLE_NORM_BOUND = 20.0
+# Taylor-series order of expm_series: after scaling, ||t*m||_inf <= 1/16,
+# where the tail beyond 25 terms is below 1e-55, far under roundoff.
+SERIES_TERMS = 25
 
 
 def _as_mat2(m) -> np.ndarray:
@@ -132,21 +132,27 @@ def matexp(m, t: float) -> np.ndarray:
     return s0 * np.eye(2) + s1 * a
 
 
-def matexp_oracle(m, t: float) -> np.ndarray:
-    """``e^{t m}`` by scaling-and-squaring of a truncated Taylor series.
+def expm_series(m, t: float) -> np.ndarray:
+    """``e^{t m}`` for a real square matrix, by scaling and squaring a
+    truncated Taylor series.
 
-    Independent of the closed-form path; intended as a test oracle.
-    Truncation error is below 1e-13 for ``|t| * ||m||_inf <= 20`` (the
-    scaled argument then has norm <= 20/512 and the series tail is
-    negligible even after squaring amplification).
+    The argument is halved ``s`` times until its infinity norm is at most
+    1/16, summed to ``SERIES_TERMS`` terms and squared ``s`` times, so the
+    truncation error is far below roundoff for every input.
     """
-    a = _as_mat2(m) * float(t)
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    a = a * float(t)
     norm = _norm_inf(a)
     squarings = math.ceil(math.log2(max(1.0, norm))) + 4
     b = a / (2.0**squarings)
-    total = np.eye(2)
-    term = np.eye(2)
-    for k in range(1, ORACLE_TERMS):
+    eye = np.eye(a.shape[0])
+    total = eye
+    term = eye
+    for k in range(1, SERIES_TERMS):
         term = term @ b / k
         total = total + term
     for _ in range(squarings):

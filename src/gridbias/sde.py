@@ -3,10 +3,11 @@
 The observable state ``X_t = (Y_t, W_t)`` solves
 ``dX = -beta X dt + sigma dB`` with a Gaussian initial law.  Over a step of
 length ``delta`` the transition is Gaussian with mean map ``e^{-beta delta}``
-and covariance ``int_0^delta e^{-beta u} sigma sigma' e^{-beta' u} du``, so
-panels are sampled from the exact transition law: the marginal distribution
-at every grid time is exact regardless of step size, and any simulation bias
-is zero by construction.
+(the closed-form 2x2 exponential) and covariance
+``int_0^delta e^{-beta u} sigma sigma' e^{-beta' u} du`` (one 4x4 block
+exponential, Van Loan's formula), so panels are sampled from the exact
+transition law: the marginal distribution at every grid time is exact
+regardless of step size, and any simulation bias is zero by construction.
 
 The counterfactual outcome under a deterministic schedule ``w`` solves
 ``dY = -(b11 Y + b12 w_t) dt + s11 dB1 + s12 dB2`` and is sampled the same
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimands import TreatmentPlan, plan_integral
-from .linalg2 import matexp
+from .linalg2 import expm_series, matexp
 
 __all__ = [
     "ModelParams",
@@ -41,11 +42,6 @@ __all__ = [
     "read_panel_csv",
 ]
 
-# Kronecker-sum systems with smaller relative smallest singular value than
-# this are treated as singular and the covariance integral falls back to
-# quadrature (e.g. beta = 0, or eigenvalues summing to zero).
-KRON_RCOND = 1e-8
-COV_SIMPSON_PANELS = 10_000
 PSD_EIG_FLOOR = -1e-12
 
 PANEL_CSV_HEADER = ("unit", "k", "t", "Y", "W")
@@ -165,44 +161,21 @@ class TransitionLaw:
 def transition_law(params: ModelParams, delta: float) -> TransitionLaw:
     """Exact transition law of the observable process over a step ``delta``.
 
-    The noise covariance ``C = int_0^delta e^{-beta u} D e^{-beta' u} du``
-    (``D = sigma sigma'``) satisfies the Sylvester identity
-    ``beta C + C beta' = D - e^{-beta delta} D e^{-beta' delta}``, solved in
-    vectorized form through the Kronecker sum ``beta (+) beta``.  When that
-    4x4 system is near-singular (smallest singular value below
-    ``KRON_RCOND`` times the largest, e.g. ``beta = 0``) the integral is
-    evaluated by composite Simpson quadrature instead.
+    The mean map is ``e^{-beta delta}``.  The noise covariance
+    ``C = int_0^delta e^{-beta u} D e^{-beta' u} du`` (``D = sigma sigma'``)
+    comes from one block exponential (Van Loan 1978, "Computing integrals
+    involving the matrix exponential"): with
+    ``F = exp([[beta, D], [0, -beta']] delta)``, ``C = F22' F12``.  The
+    formula holds for every drift, singular or not.
     """
     if not (math.isfinite(delta) and delta > 0):
         raise ValueError("delta must be a positive finite number")
-    mean_map = matexp(params.beta, -delta)
     d = params.sigma @ params.sigma.T
-    rhs = d - mean_map @ d @ mean_map.T
-    eye = np.eye(2)
-    kron_sum = np.kron(params.beta, eye) + np.kron(eye, params.beta)
-    svals = np.linalg.svd(kron_sum, compute_uv=False)
-    if svals[-1] > KRON_RCOND * svals[0]:
-        cov = np.linalg.solve(kron_sum, rhs.reshape(4)).reshape(2, 2)
-    else:
-        cov = _cov_integral_simpson(params.beta, d, delta, COV_SIMPSON_PANELS)
+    block = np.block([[params.beta, d], [np.zeros((2, 2)), -params.beta.T]])
+    f = expm_series(block, delta)
+    cov = f[2:, 2:].T @ f[:2, 2:]
     cov = 0.5 * (cov + cov.T)
-    return TransitionLaw(mean_map=mean_map, noise_cov=cov)
-
-
-def _cov_integral_simpson(beta: np.ndarray, d: np.ndarray, delta: float, panels: int) -> np.ndarray:
-    def f(u: float) -> np.ndarray:
-        e = matexp(beta, -u)
-        return e @ d @ e.T
-
-    h = delta / panels
-    total = np.zeros((2, 2))
-    left = f(0.0)
-    for i in range(panels):
-        mid = f((i + 0.5) * h)
-        right = f((i + 1) * h)
-        total += h / 6.0 * (left + 4.0 * mid + right)
-        left = right
-    return total
+    return TransitionLaw(mean_map=matexp(params.beta, -delta), noise_cov=cov)
 
 
 def _psd_sqrt(cov: np.ndarray) -> np.ndarray:
@@ -249,10 +222,11 @@ def simulate_panel(params: ModelParams, grid: Grid, n: int, seed: int) -> Trajec
 def counterfactual_step_variance(params: ModelParams, delta: float) -> float:
     """Noise variance of the counterfactual outcome over one step:
     ``(s11^2 + s12^2)(1 - e^{-2 b11 delta}) / (2 b11)``, with the
-    ``b11 -> 0`` limit ``(s11^2 + s12^2) delta``."""
+    ``b11 = 0`` limit ``(s11^2 + s12^2) delta``.  The ``expm1`` form keeps
+    full precision for every nonzero ``b11``."""
     b11 = params.beta[0, 0]
     s2 = params.sigma[0, 0] ** 2 + params.sigma[0, 1] ** 2
-    if abs(b11) * delta < 1e-8:
+    if b11 == 0.0:
         return s2 * delta
     return s2 * -math.expm1(-2.0 * b11 * delta) / (2.0 * b11)
 

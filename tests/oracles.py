@@ -1,0 +1,71 @@
+"""Reference routes for the noise covariance and the identification bias.
+
+The package computes each quantity one way: the transition noise
+covariance from Van Loan's block exponential, the bias by direct
+subtraction ``theta_g - eta``.  The routes here compute the same numbers
+another way and exist only to cross-check those.
+"""
+
+import math
+
+import numpy as np
+
+from gridbias import TreatmentPlan, matexp, plan_integral
+
+
+def cov_simpson(beta, d, delta, panels, expm=matexp):
+    """``int_0^delta e^{-beta u} d e^{-beta' u} du`` by composite Simpson
+    quadrature, each panel contributing the 1-4-1 rule on its midpoint.
+    ``expm(m, t)`` is the 2x2 exponential the integrand is built from."""
+
+    def f(u):
+        e = expm(beta, -u)
+        return e @ d @ e.T
+
+    h = delta / panels
+    total = np.zeros((2, 2))
+    left = f(0.0)
+    for i in range(panels):
+        mid = f((i + 0.5) * h)
+        right = f((i + 1) * h)
+        total += h / 6.0 * (left + 4.0 * mid + right)
+        left = right
+    return total
+
+
+def cov_kronecker(beta, d, delta):
+    """The same integral from the Sylvester identity
+    ``beta C + C beta' = d - e^{-beta delta} d e^{-beta' delta}``, solved in
+    vectorised form through the Kronecker sum ``beta (+) beta``.  Singular
+    when two eigenvalues of ``beta`` sum to zero (e.g. ``beta = 0``)."""
+    g = matexp(beta, -delta)
+    rhs = d - g @ d @ g.T
+    eye = np.eye(2)
+    kron_sum = np.kron(beta, eye) + np.kron(eye, beta)
+    return np.linalg.solve(kron_sum, rhs.reshape(4)).reshape(2, 2)
+
+
+def identification_bias_expanded(params, plan: TreatmentPlan, J: int) -> float:
+    """Three-term expansion of the bias ``theta_g - eta``.
+
+    ``(g11^J - e^{-b11 T}) E[Y0] + g12 * S + b12 * int_0^T w(s) e^{b11(s-T)} ds``
+    with ``g = e^{-beta T/J}`` and ``S = sum_{i<J} w(t_i) g11^{J-i-1}``
+    accumulated by Horner recursion.  Agrees with the direct difference up
+    to roundoff on the scale of the individual terms.
+    """
+    if J < 1:
+        raise ValueError("J must be >= 1")
+    b11 = params.beta[0, 0]
+    b12 = params.beta[0, 1]
+    ey0 = params.init_mean[0]
+    g = matexp(params.beta, -params.horizon / J)
+    g11, g12 = g[0, 0], g[0, 1]
+    w = plan.values_at(np.arange(J) * (params.horizon / J))
+    power_sum = 0.0
+    for k in range(J):
+        power_sum = g11 * power_sum + w[k]
+    return float(
+        (g11**J - math.exp(-b11 * params.horizon)) * ey0
+        + g12 * power_sum
+        + b12 * plan_integral(plan, 0.0, params.horizon, b11)
+    )

@@ -19,10 +19,9 @@ from gridbias import (
     bootstrap_ci,
     eigen2,
     estimate_contrast,
+    expm_series as matexp_oracle,
     identification_bias,
-    identification_bias_expanded,
     matexp,
-    matexp_oracle,
     simulate_counterfactual,
     simulate_panel,
     theta_g,
@@ -32,6 +31,7 @@ from gridbias import (
 )
 from gridbias.cli import derive_seed, main
 from tests.conftest import make_params
+from tests.oracles import identification_bias_expanded
 
 PLAN_ONE = TreatmentPlan.constant(1.0, horizon=1.0)
 PLAN_ZERO = TreatmentPlan.constant(0.0, horizon=1.0)

@@ -69,6 +69,31 @@ class TestConfig:
         cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "default.yaml")
         cfg.validate()
 
+    def test_params_hash_of_float_config_is_unchanged(self):
+        # The digest keys zeta_cells.csv rows across runs; configs that
+        # already write floats as floats keep the digest they always had.
+        assert ExperimentConfig().params_hash() == "ba0c733a28ea"
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "default.yaml")
+        assert cfg.params_hash() == "ba0c733a28ea"
+
+    def test_params_hash_ignores_int_vs_float_spelling(self):
+        floats = ExperimentConfig()
+        ints = ExperimentConfig()
+        ints.model.horizon = 1
+        ints.model.init_mean = [1, 0]
+        ints.model.sigma = [[1, 0.3], [0.3, 0.5]]
+        ints.plan_star.value = 1
+        ints.plan_base.value = 0
+        ints.bias_table.beta21 = [-3, 0, 3]
+        ints.zeta.beta12 = [-10, -8, -6, -5, -4, -3]
+        ints.zeta.j_values = [8.0, 16.0, 24.0, 32.0, 40.0]
+        ints.zeta.n_units = 200.0
+        ints.zeta.n_boot = 500.0
+        ints.zeta.replicates = 20.0
+        assert ints.params_hash() == floats.params_hash()
+        ints.model.horizon = 2
+        assert ints.params_hash() != floats.params_hash()
+
     def test_unknown_key_is_an_error(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("modell:\n  horizon: 1.0\n")

@@ -9,7 +9,6 @@ from gridbias import (
     TreatmentPlan,
     estimand_report,
     identification_bias,
-    identification_bias_expanded,
     matexp,
     plan_integral,
     theta_g,
@@ -18,6 +17,7 @@ from gridbias import (
     true_eta,
 )
 from tests.conftest import make_params
+from tests.oracles import identification_bias_expanded
 
 # 40-digit evaluations of the closed forms for the reference cell
 # (b11=0.2, b12=-5, T=1, E[Y0]=1, schedule identically 1).
@@ -104,21 +104,39 @@ class TestPlanIntegral:
         assert plan_integral(plan, 0.0, 1.0, 0.0) == pytest.approx(0.5, abs=1e-14)
 
     def test_quadrature_matches_closed_form_on_smooth_integrand(self):
-        # A single-knot tabulated plan is the constant plan; quadrature on
-        # the smooth weighted integrand must hit the analytic value.
+        # A single-knot tabulated plan is the constant plan.
         tab = TreatmentPlan.tabulated([0.0], [1.0], horizon=1.0)
         got = plan_integral(tab, 0.0, 1.0, 0.2)
         assert got == pytest.approx(PLAN_INTEGRAL_REF, rel=1e-12)
 
     def test_quadrature_near_step_discontinuity(self):
-        # Step integrands are outside the smooth-accuracy contract; only a
-        # coarser agreement with the exact per-piece value is expected.
+        # A tabulated plan is the piecewise plan with its knots as
+        # breakpoints, and integrates to exactly the same number.
         tab = TreatmentPlan.tabulated([0.0, 0.5], [0.0, 1.0], horizon=1.0)
         pw = TreatmentPlan.piecewise([0.5], [0.0, 1.0], horizon=1.0)
         rate = 0.7
-        assert plan_integral(tab, 0.0, 1.0, rate) == pytest.approx(
-            plan_integral(pw, 0.0, 1.0, rate), abs=1e-4
+        assert plan_integral(tab, 0.0, 1.0, rate) == plan_integral(pw, 0.0, 1.0, rate)
+
+    @pytest.mark.parametrize("rate", [0.2, -5.0, 3.0])
+    def test_off_grid_knots_match_hand_closed_form(self, rate):
+        times = [0.0, 0.137, 0.42, 0.81]
+        values = [1.0, 0.3, -0.5, 0.8]
+        tab = TreatmentPlan.tabulated(times, values, horizon=1.0)
+        # int_lo^hi e^{rate (s - 1)} ds per piece, from the antiderivative
+        edges = times + [1.0]
+        want = sum(
+            v * (math.exp(rate * (hi - 1.0)) - math.exp(rate * (lo - 1.0))) / rate
+            for v, lo, hi in zip(values, edges, edges[1:])
         )
+        assert plan_integral(tab, 0.0, 1.0, rate) == pytest.approx(want, rel=1e-14)
+
+    def test_knot_at_horizon_sets_only_the_endpoint(self):
+        tab = TreatmentPlan.tabulated([0.0, 0.5, 1.0], [1.0, 2.0, 7.0], horizon=1.0)
+        pw = TreatmentPlan.piecewise([0.5], [1.0, 2.0], horizon=1.0)
+        assert tab.values_at(np.array([0.99, 1.0])).tolist() == [2.0, 7.0]
+        for rate in (0.0, 0.4, -2.0):
+            assert plan_integral(tab, 0.0, 1.0, rate) == plan_integral(pw, 0.0, 1.0, rate)
+            assert plan_integral(tab, 0.2, 1.0, rate) == plan_integral(pw, 0.2, 1.0, rate)
 
     def test_subinterval_and_bounds_checks(self):
         plan = TreatmentPlan.constant(1.0, horizon=1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gridbias import EigenPair2, eigen2, matexp, matexp_oracle, s0s1
+from gridbias import EigenPair2, eigen2, expm_series, matexp, s0s1
 
 # Reference values computed once with a 40-digit arbitrary-precision
 # evaluation of the defining formulas (characteristic quadratic, scalar
@@ -134,7 +134,7 @@ class TestMatexp:
             m = rng.uniform(-5, 5, size=(2, 2))
             t = rng.uniform(-2, 2)
             a = matexp(m, t)
-            b = matexp_oracle(m, t)
+            b = expm_series(m, t)
             worst = max(worst, float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b)))))
         assert worst < 1e-10
 
@@ -142,17 +142,40 @@ class TestMatexp:
     def test_matches_oracle_property(self, entries, t):
         m = np.array(entries).reshape(2, 2)
         a = matexp(m, t)
-        b = matexp_oracle(m, t)
+        b = expm_series(m, t)
         np.testing.assert_allclose(a, b, rtol=1e-11, atol=1e-11)
 
 
 class TestMatexpOracle:
     def test_zero_matrix(self):
-        assert np.array_equal(matexp_oracle(np.zeros((2, 2)), 3.7), np.eye(2))
+        assert np.array_equal(expm_series(np.zeros((2, 2)), 3.7), np.eye(2))
 
     def test_nilpotent_series_terminates(self):
-        got = matexp_oracle(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+        got = expm_series(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
         np.testing.assert_allclose(got, np.array([[1.0, 1.0], [0.0, 1.0]]), atol=1e-15)
+
+
+class TestExpmSeries:
+    def test_nilpotent_4x4_series_is_exact(self):
+        shift = np.diag([1.0, 1.0, 1.0], k=1)
+        want = np.eye(4) + shift + shift @ shift / 2 + shift @ shift @ shift / 6
+        np.testing.assert_allclose(expm_series(shift, 1.0), want, rtol=0, atol=1e-15)
+
+    def test_block_diagonal_matches_closed_form_blocks(self):
+        a = np.array([[0.2, -5.0], [-3.0, 0.5]])
+        b = np.array([[0.5, -10.0], [3.0, -0.5]])
+        m = np.block([[a, np.zeros((2, 2))], [np.zeros((2, 2)), b]])
+        got = expm_series(m, -0.3)
+        np.testing.assert_allclose(got[:2, :2], matexp(a, -0.3), rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(got[2:, 2:], matexp(b, -0.3), rtol=1e-12, atol=1e-14)
+        assert np.array_equal(got[:2, 2:], np.zeros((2, 2)))
+        assert np.array_equal(got[2:, :2], np.zeros((2, 2)))
+
+    def test_rejects_non_square_and_non_finite(self):
+        with pytest.raises(ValueError):
+            expm_series(np.zeros((2, 3)), 1.0)
+        with pytest.raises(ValueError):
+            expm_series(np.array([[0.0, math.nan], [0.0, 0.0]]), 1.0)
 
 
 class TestIdentities:

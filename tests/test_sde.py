@@ -8,8 +8,8 @@ from gridbias import (
     ModelParams,
     TrajectoryPanel,
     TreatmentPlan,
+    expm_series,
     matexp,
-    matexp_oracle,
     read_panel_csv,
     simulate_counterfactual,
     simulate_panel,
@@ -17,8 +17,9 @@ from gridbias import (
     transition_law,
     write_panel_csv,
 )
-from gridbias.sde import _cov_integral_simpson, counterfactual_step_variance
+from gridbias.sde import counterfactual_step_variance
 from tests.conftest import REF_SIGMA, make_params
+from tests.oracles import cov_kronecker, cov_simpson
 
 # Step-0.1 noise covariance of the reference drift/diffusion, from 40-digit
 # quadrature of the integral (a 1e5-panel Simpson rule over the independent
@@ -32,25 +33,11 @@ NOISE_COV_REF = np.array(
 
 
 def oracle_cov_simpson(beta, sigma, delta, panels=2000):
-    """Independent covariance quadrature built on the series exponential.
+    """Covariance quadrature over the series exponential of the 2x2 drift.
 
     At 2000 panels the Simpson truncation error is far below the assertion
     tolerances used here."""
-    d = sigma @ sigma.T
-    h = delta / panels
-
-    def f(u):
-        e = matexp_oracle(beta, -u)
-        return e @ d @ e.T
-
-    total = np.zeros((2, 2))
-    left = f(0.0)
-    for i in range(panels):
-        mid = f((i + 0.5) * h)
-        right = f((i + 1) * h)
-        total += h / 6.0 * (left + 4.0 * mid + right)
-        left = right
-    return total
+    return cov_simpson(beta, sigma @ sigma.T, delta, panels, expm_series)
 
 
 class TestTransitionLaw:
@@ -76,12 +63,12 @@ class TestTransitionLaw:
         law = transition_law(ref_params, 0.1)
         np.testing.assert_allclose(law.noise_cov, NOISE_COV_REF, rtol=1e-13, atol=1e-15)
 
-    def test_solve_route_matches_quadrature_routes(self, ref_params):
+    def test_van_loan_route_matches_quadrature_oracles(self, ref_params):
         law = transition_law(ref_params, 0.1)
-        production_simpson = _cov_integral_simpson(
+        closed_form_simpson = cov_simpson(
             ref_params.beta, ref_params.sigma @ ref_params.sigma.T, 0.1, 10_000
         )
-        np.testing.assert_allclose(law.noise_cov, production_simpson, atol=1e-8)
+        np.testing.assert_allclose(law.noise_cov, closed_form_simpson, atol=1e-8)
         independent = oracle_cov_simpson(ref_params.beta, ref_params.sigma, 0.1)
         np.testing.assert_allclose(law.noise_cov, independent, atol=1e-10)
 
@@ -107,10 +94,13 @@ class TestTransitionLaw:
             cov = transition_law(p, delta).noise_cov
             assert np.array_equal(cov, cov.T)
             assert np.linalg.eigvalsh(cov).min() >= -1e-12
+            kron = cov_kronecker(beta, sigma @ sigma.T, delta)
+            assert np.max(np.abs(cov - kron)) <= 1e-12 * np.max(np.abs(kron))
 
-    def test_singular_kronecker_sum_falls_back(self):
+    def test_singular_kronecker_sum_needs_no_fallback(self):
         # Opposite-sign eigenvalues make the Kronecker sum singular; the
-        # quadrature route must take over and match the independent oracle.
+        # block-exponential route has no special case there and must match
+        # the quadrature oracle.
         beta = np.diag([0.7, -0.7])
         p = ModelParams(
             beta=beta, sigma=REF_SIGMA, init_mean=[0, 0], init_cov=np.eye(2), horizon=1.0
@@ -119,6 +109,19 @@ class TestTransitionLaw:
         np.testing.assert_allclose(
             law.noise_cov, oracle_cov_simpson(beta, REF_SIGMA, 0.2), atol=1e-10
         )
+
+    @pytest.mark.parametrize("delta", [1 / 8, 1 / 40])
+    def test_oscillator_drift_matches_quadrature(self, delta):
+        # tr(beta) = 0 with a complex eigenvalue pair: the Kronecker sum is
+        # singular, and the quadrature over the closed-form exponential is
+        # the reference.
+        beta = np.array([[0.5, -10.0], [3.0, -0.5]])
+        p = ModelParams(
+            beta=beta, sigma=REF_SIGMA, init_mean=[0, 0], init_cov=np.eye(2), horizon=1.0
+        )
+        want = cov_simpson(beta, REF_SIGMA @ REF_SIGMA.T, delta, 10_000)
+        got = transition_law(p, delta).noise_cov
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestSimulatePanel:
@@ -229,6 +232,16 @@ class TestSimulateCounterfactual:
         p2 = make_params(beta11=0.2)
         want = s2 * (1 - math.exp(-2 * 0.2 * 0.25)) / (2 * 0.2)
         assert counterfactual_step_variance(p2, 0.25) == pytest.approx(want, rel=1e-12)
+
+    def test_step_variance_tiny_drift_keeps_full_precision(self):
+        # At b11 * delta = 5e-9 the s2 * delta limit is off by 5e-9
+        # relative; the expm1 form is exact to roundoff.
+        b11, delta = 5e-9, 1.0
+        p = make_params(beta11=b11)
+        s2 = p.sigma[0, 0] ** 2 + p.sigma[0, 1] ** 2
+        want = s2 * -math.expm1(-2 * b11 * delta) / (2 * b11)
+        assert counterfactual_step_variance(p, delta) == pytest.approx(want, rel=1e-15)
+        assert abs(want / (s2 * delta) - 1) > 4e-9
 
 
 @pytest.mark.slow
