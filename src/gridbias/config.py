@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -120,27 +121,33 @@ class ExperimentConfig:
         horizon = float(self.model.horizon)
         self.plan_star.to_plan(horizon)
         self.plan_base.to_plan(horizon)
-        _require(_is_int(self.seed), f"seed: must be an integer, got {self.seed!r}")
+        _require_count(self.seed, "seed")
         _require(self.seed >= 0, "seed: must be non-negative")
-        _require(_is_int(self.threads), f"threads: must be an integer, got {self.threads!r}")
+        _require_count(self.threads, "threads")
         _require(self.threads >= 1, "threads: must be >= 1")
         bt = self.bias_table
-        for key in ("beta11", "beta21", "beta12", "j_values"):
-            _require(len(getattr(bt, key)) > 0, f"bias_table.{key}: sweep must be non-empty")
+        for key in ("beta11", "beta21", "beta12"):
+            _require_sweep(getattr(bt, key), f"bias_table.{key}", _is_real, "a finite number")
+        _require_sweep(bt.j_values, "bias_table.j_values", _is_int, "an integer")
         for i, j in enumerate(bt.j_values):
-            _require(int(j) == j and j >= 1, f"bias_table.j_values[{i}]: J must be an integer >= 1")
+            _require(j >= 1, f"bias_table.j_values[{i}]: J must be an integer >= 1")
+        _require_count(self.simulate.n_units, "simulate.n_units")
         _require(self.simulate.n_units >= 1, "simulate.n_units: must be >= 1")
+        _require_count(self.simulate.j, "simulate.j")
         _require(self.simulate.j >= 1, "simulate.j: must be >= 1")
         z = self.zeta
-        _require(len(z.beta12) > 0, "zeta.beta12: sweep must be non-empty")
-        _require(len(z.j_values) > 0, "zeta.j_values: sweep must be non-empty")
+        _require_sweep(z.beta12, "zeta.beta12", _is_real, "a finite number")
+        _require_sweep(z.j_values, "zeta.j_values", _is_int, "an integer")
         for i, j in enumerate(z.j_values):
             _require(
-                int(j) == j and j >= 2 and j % 2 == 0,
+                j >= 2 and j % 2 == 0,
                 f"zeta.j_values[{i}]: grid halving needs an even J >= 2, got {j}",
             )
+        for key in ("n_units", "n_boot", "replicates"):
+            _require_count(getattr(z, key), f"zeta.{key}")
         _require(z.n_units >= 1, "zeta.n_units: must be >= 1")
         _require(z.n_boot >= 2, "zeta.n_boot: must be >= 2")
+        _require(_is_real(z.alpha), f"zeta.alpha: must be a finite number, got {z.alpha!r}")
         _require(0.0 < z.alpha < 1.0, "zeta.alpha: must be in (0, 1)")
         _require(z.replicates >= 1, "zeta.replicates: must be >= 1")
 
@@ -208,9 +215,28 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the double range
+        return False
+
+
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
+
+
+def _require_count(value, key: str) -> None:
+    _require(_is_int(value), f"{key}: must be an integer, got {value!r}")
+
+
+def _require_sweep(values, key: str, is_valid, kind: str) -> None:
+    _require(isinstance(values, list) and values, f"{key}: sweep must be a non-empty list")
+    for i, v in enumerate(values):
+        _require(is_valid(v), f"{key}[{i}]: must be {kind}, got {v!r}")
 
 
 def load_config(path) -> ExperimentConfig:

@@ -296,22 +296,20 @@ def subsample_panel(panel: TrajectoryPanel, factor: int) -> TrajectoryPanel:
 
 def write_panel_csv(panel: TrajectoryPanel, path) -> None:
     """Long-format CSV with fixed header ``unit,k,t,Y,W``; floats are
-    written as shortest round-trip decimals."""
-    times = panel.grid.times
+    written as shortest round-trip decimals.
+
+    Rows are written one unit at a time, each unit's rows formatted from
+    Python floats into one string, so memory stays at one unit's rows.  The
+    format is the one :mod:`csv` writes for these fields (ints and float
+    reprs are never quoted), and :func:`read_panel_csv` reads it back.
+    """
+    # The "k,t," prefix of each grid step is shared by every unit.
+    prefixes = [f"{k},{t!r}," for k, t in enumerate(panel.grid.times.tolist())]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PANEL_CSV_HEADER)
+        fh.write(",".join(PANEL_CSV_HEADER) + "\n")
         for i in range(panel.n):
-            for k in range(panel.grid.J + 1):
-                writer.writerow(
-                    (
-                        i,
-                        k,
-                        repr(float(times[k])),
-                        repr(float(panel.values[i, k, 0])),
-                        repr(float(panel.values[i, k, 1])),
-                    )
-                )
+            unit = panel.values[i].tolist()
+            fh.write("".join([f"{i},{p}{y!r},{w!r}\n" for p, (y, w) in zip(prefixes, unit)]))
 
 
 def read_panel_csv(path, seed: int = -1) -> TrajectoryPanel:

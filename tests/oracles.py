@@ -1,16 +1,21 @@
-"""Reference routes for the noise covariance and the identification bias.
+"""Reference routes for the noise covariance, the identification bias,
+``theta_g`` and the panel CSV writer.
 
 The package computes each quantity one way: the transition noise
 covariance from Van Loan's block exponential, the bias by direct
-subtraction ``theta_g - eta``.  The routes here compute the same numbers
-another way and exist only to cross-check those.
+subtraction ``theta_g - eta``, ``theta_g`` by a recursion on Python floats
+and the panel CSV from one formatted string per unit.  The routes here
+compute the same numbers (or bytes) another way and exist only to
+cross-check those.
 """
 
+import csv
 import math
 
 import numpy as np
 
 from gridbias import TreatmentPlan, matexp, plan_integral
+from gridbias.sde import PANEL_CSV_HEADER
 
 
 def cov_simpson(beta, d, delta, panels, expm=matexp):
@@ -69,3 +74,35 @@ def identification_bias_expanded(params, plan: TreatmentPlan, J: int) -> float:
         + g12 * power_sum
         + b12 * plan_integral(plan, 0.0, params.horizon, b11)
     )
+
+
+def theta_g_float64(params, plan: TreatmentPlan, J: int) -> float:
+    """``theta_g`` with the recursion ``y = g11 y + g12 w(t_k)`` run on
+    ``np.float64`` scalars indexed out of NumPy arrays."""
+    g = matexp(params.beta, -params.horizon / J)
+    g11, g12 = g[0, 0], g[0, 1]
+    w = plan.values_at(np.arange(J) * (params.horizon / J))
+    y = params.init_mean[0]
+    for k in range(J):
+        y = g11 * y + g12 * w[k]
+    return float(y)
+
+
+def write_panel_csv_rowwise(panel, path) -> None:
+    """The panel CSV written one row at a time through ``csv.writer``, each
+    float formatted as ``repr(float(...))`` of a NumPy scalar."""
+    times = panel.grid.times
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(PANEL_CSV_HEADER)
+        for i in range(panel.n):
+            for k in range(panel.grid.J + 1):
+                writer.writerow(
+                    (
+                        i,
+                        k,
+                        repr(float(times[k])),
+                        repr(float(panel.values[i, k, 0])),
+                        repr(float(panel.values[i, k, 1])),
+                    )
+                )

@@ -1,9 +1,15 @@
+import copy
 import csv
+import io
+import math
+import tempfile
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, strategies as st
 
 from gridbias import (
     Grid,
@@ -36,6 +42,24 @@ SMALL_CONFIG = {
     "seed": 99,
     "threads": 1,
 }
+
+
+# Every count (int) and real (finite int or float, not bool) field of the
+# config; a field that is a list in SMALL_CONFIG is a sweep of entries.
+TYPED_FIELDS = [
+    ("simulate", "n_units", "count"),
+    ("simulate", "j", "count"),
+    ("zeta", "n_units", "count"),
+    ("zeta", "n_boot", "count"),
+    ("zeta", "replicates", "count"),
+    ("bias_table", "j_values", "count"),
+    ("zeta", "j_values", "count"),
+    ("bias_table", "beta11", "real"),
+    ("bias_table", "beta21", "real"),
+    ("bias_table", "beta12", "real"),
+    ("zeta", "beta12", "real"),
+    ("zeta", "alpha", "real"),
+]
 
 
 @pytest.fixture
@@ -145,6 +169,50 @@ class TestCliExitCodes:
         code = main(["bias-table", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"{key}: must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, section, key, value",
+        [
+            ("simulate", "simulate", "n_units", 2.5),
+            ("simulate", "simulate", "j", 3.5),
+            ("bias-table", "bias_table", "j_values", [True]),
+            ("simulate", "simulate", "n_units", "abc"),
+            ("zeta", "zeta", "alpha", "0.05"),
+            ("zeta", "zeta", "n_boot", 2.5),
+            ("bias-table", "bias_table", "beta11", ["x"]),
+        ],
+    )
+    def test_wrongly_typed_field_is_exit_2(self, command, section, key, value, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump({section: {key: value}}))
+        code = main([command, "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"config error: {section}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @given(data=st.data())
+    def test_any_wrongly_typed_count_or_real_is_exit_2(self, data):
+        section, key, kind = data.draw(st.sampled_from(TYPED_FIELDS))
+        wrong = st.one_of(st.text(), st.booleans(), st.none(), st.lists(st.integers(), max_size=2))
+        if kind == "count":
+            wrong |= st.floats()
+        else:
+            wrong |= st.sampled_from([math.nan, math.inf, -math.inf])
+        value = data.draw(wrong)
+        raw = copy.deepcopy(SMALL_CONFIG)
+        if isinstance(raw[section][key], list):
+            entries = raw[section][key]
+            entries[data.draw(st.integers(0, len(entries) - 1))] = value
+        else:
+            raw[section][key] = value
+        with tempfile.TemporaryDirectory() as tmp_dir:
+            cfg_path = Path(tmp_dir) / "bad.yaml"
+            cfg_path.write_text(yaml.safe_dump(raw))
+            err = io.StringIO()
+            with redirect_stderr(err):
+                code = main(["bias-table", "--config", str(cfg_path), "--out", tmp_dir])
+        assert code == 2
+        assert f"config error: {section}.{key}" in err.getvalue()
 
     def test_numerical_failure_is_exit_3(self, tmp_path, capsys):
         # A single unit on a two-step grid yields 2 pooled transitions,

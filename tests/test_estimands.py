@@ -17,7 +17,7 @@ from gridbias import (
     true_eta,
 )
 from tests.conftest import make_params
-from tests.oracles import identification_bias_expanded
+from tests.oracles import identification_bias_expanded, theta_g_float64
 
 # 40-digit evaluations of the closed forms for the reference cell
 # (b11=0.2, b12=-5, T=1, E[Y0]=1, schedule identically 1).
@@ -214,6 +214,27 @@ class TestThetaG:
         base = TreatmentPlan.constant(1.0, horizon=1.0)
         bumped = TreatmentPlan.piecewise([0.8, 0.9], [1.0, 42.0, 1.0], horizon=1.0)
         assert theta_g(ref_params, base, J) == theta_g(ref_params, bumped, J)
+
+    @given(
+        drift=st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4),
+        ey0=st.floats(-2.0, 2.0),
+    )
+    def test_python_floats_match_float64_scalar_recursion(self, drift, ey0):
+        params = ModelParams(
+            beta=np.reshape(drift, (2, 2)),
+            sigma=np.eye(2),
+            init_mean=[ey0, 0.0],
+            init_cov=0.25 * np.eye(2),
+            horizon=1.0,
+        )
+        plans = (
+            TreatmentPlan.constant(0.7, horizon=1.0),
+            TreatmentPlan.piecewise([0.3, 0.55], [1.0, -2.0, 0.5], horizon=1.0),
+            TreatmentPlan.tabulated([0.0, 0.137, 0.42, 1.0], [1.0, 0.3, -0.5, 2.5], horizon=1.0),
+        )
+        for plan in plans:
+            for J in (1, 2, 7, 16384):
+                assert theta_g(params, plan, J) == theta_g_float64(params, plan, J)
 
 
 class TestBiasForms:

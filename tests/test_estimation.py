@@ -312,6 +312,7 @@ class TestZeta:
 
 
 class TestNaiveEstimandMonteCarlo:
+    @pytest.mark.slow
     def test_formula_matches_regression_plug_in(self, ref_params, plan_one):
         # The outcome-history-only estimand: regress Y_J on the last state,
         # plug in the schedule value, average over the factual lag outcome.

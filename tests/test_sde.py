@@ -1,7 +1,10 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gridbias import (
     Grid,
@@ -19,7 +22,7 @@ from gridbias import (
 )
 from gridbias.sde import counterfactual_step_variance
 from tests.conftest import REF_SIGMA, make_params
-from tests.oracles import cov_kronecker, cov_simpson
+from tests.oracles import cov_kronecker, cov_simpson, write_panel_csv_rowwise
 
 # Step-0.1 noise covariance of the reference drift/diffusion, from 40-digit
 # quadrature of the integral (a 1e5-panel Simpson rule over the independent
@@ -377,6 +380,56 @@ class TestPanelCsv:
             assert repr(float(y)) == y
             assert repr(float(w)) == w
             assert repr(float(t)) == t
+
+
+@st.composite
+def panels(draw):
+    n = draw(st.integers(1, 4))
+    J = draw(st.integers(1, 6))
+    T = draw(st.floats(1e-3, 1e3))
+    size = 2 * n * (J + 1)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = np.array(draw(st.lists(finite, min_size=size, max_size=size))).reshape(n, J + 1, 2)
+    return TrajectoryPanel(grid=Grid(J=J, T=T), n=n, values=values, seed=-1)
+
+
+class TestPanelCsvBytes:
+    """The unit-at-a-time writer against the row-by-row ``csv.writer``
+    oracle: the bytes must be identical."""
+
+    @staticmethod
+    def _assert_same_bytes(panel, tmp_dir):
+        got, want = Path(tmp_dir) / "got.csv", Path(tmp_dir) / "want.csv"
+        write_panel_csv(panel, got)
+        write_panel_csv_rowwise(panel, want)
+        assert got.read_bytes() == want.read_bytes()
+        return got
+
+    def test_single_unit_single_step(self, ref_params, tmp_path):
+        self._assert_same_bytes(simulate_panel(ref_params, Grid(J=1, T=1.0), 1, seed=3), tmp_path)
+
+    def test_extreme_and_signed_zero_reprs(self, tmp_path):
+        # -0.0, the smallest subnormal and exponent-notation reprs.
+        values = np.array(
+            [-0.0, 5e-324, 1e300, 1e-7, -1e-7, 1e16, -5e-324, 0.1, 0.0, -1e300, 2.5e-5, 1e22]
+        ).reshape(2, 3, 2)
+        panel = TrajectoryPanel(grid=Grid(J=2, T=3.0), n=2, values=values, seed=0)
+        path = self._assert_same_bytes(panel, tmp_path)
+        assert path.read_text().splitlines()[1] == "0,0,0.0,-0.0,5e-324"
+
+    def test_counterfactual_panel_with_knot_at_horizon(self, ref_params, tmp_path):
+        plan = TreatmentPlan.tabulated([0.0, 0.137, 0.42, 1.0], [1.0, 0.3, -0.5, 2.5], horizon=1.0)
+        panel = simulate_counterfactual(ref_params, plan, Grid(J=8, T=1.0), 3, seed=11)
+        path = self._assert_same_bytes(panel, tmp_path)
+        assert path.read_text().splitlines()[-1].endswith(",2.5")
+
+    @given(panels())
+    def test_round_trip_is_bit_exact(self, panel):
+        with tempfile.TemporaryDirectory() as tmp_dir:
+            path = self._assert_same_bytes(panel, tmp_dir)
+            back = read_panel_csv(path, seed=panel.seed)
+        assert back.grid == panel.grid
+        assert back.values.tobytes() == panel.values.tobytes()
 
 
 class TestPanelType:
