@@ -12,9 +12,10 @@ flag values override the config file, which overrides built-in defaults):
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 
-Experiment cells are independent jobs run on a bounded worker pool; every
-cell derives its own seed from the master seed and the cell's position in
-the sweep, so outputs are byte-identical for any thread count.
+``--threads`` sizes the worker pool of the ``zeta`` sweep; the other two
+commands run in one thread.  Every ``zeta`` cell derives its own seed from
+the master seed and the cell's position in the sweep, so outputs are
+byte-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -96,16 +97,8 @@ def cmd_bias_table(cfg: ExperimentConfig, out_dir: Path) -> Path:
     """Closed-form estimand table over beta11 x beta21 x beta12 x J."""
     plan = cfg.plan_star.to_plan(float(cfg.model.horizon))
     bt = cfg.bias_table
-    cells = [
-        (b11, b21, b12, int(j))
-        for b11 in bt.beta11
-        for b21 in bt.beta21
-        for b12 in bt.beta12
-        for j in bt.j_values
-    ]
 
-    def run_cell(cell):
-        b11, b21, b12, j = cell
+    def row(b11, b21, b12, j):
         params = _swept_params(cfg, b11, b21, b12)
         tg = theta_g(params, plan, j)
         eta = true_eta(params, plan)
@@ -120,8 +113,13 @@ def cmd_bias_table(cfg: ExperimentConfig, out_dir: Path) -> Path:
             _fmt(theta_naive_limit(params)),
         )
 
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        rows = list(pool.map(run_cell, cells))
+    rows = [
+        row(b11, b21, b12, int(j))
+        for b11 in bt.beta11
+        for b21 in bt.beta21
+        for b12 in bt.beta12
+        for j in bt.j_values
+    ]
     path = out_dir / "bias_table.csv"
     _write_csv(path, BIAS_TABLE_HEADER, rows)
     return path
@@ -217,7 +215,9 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", type=Path, default=None, help="YAML config file")
         cmd.add_argument("--out", type=Path, default=None, help="output directory")
         cmd.add_argument("--seed", type=int, default=None, help="master seed override")
-        cmd.add_argument("--threads", type=int, default=None, help="worker pool size")
+        cmd.add_argument(
+            "--threads", type=int, default=None, help="worker pool size of the zeta sweep"
+        )
     return parser
 
 

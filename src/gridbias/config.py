@@ -117,6 +117,16 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def validate(self) -> None:
+        m = self.model
+        for key in ("beta", "sigma", "init_cov"):
+            _require_matrix(getattr(m, key), f"model.{key}")
+        _require_reals(m.init_mean, "model.init_mean")
+        _require_real(m.horizon, "model.horizon")
+        for name in ("plan_star", "plan_base"):
+            plan = getattr(self, name)
+            _require_real(plan.value, f"{name}.value")
+            for key in ("breakpoints", "values", "times"):
+                _require_reals(getattr(plan, key), f"{name}.{key}")
         self.model.to_params()
         horizon = float(self.model.horizon)
         self.plan_star.to_plan(horizon)
@@ -147,7 +157,7 @@ class ExperimentConfig:
             _require_count(getattr(z, key), f"zeta.{key}")
         _require(z.n_units >= 1, "zeta.n_units: must be >= 1")
         _require(z.n_boot >= 2, "zeta.n_boot: must be >= 2")
-        _require(_is_real(z.alpha), f"zeta.alpha: must be a finite number, got {z.alpha!r}")
+        _require_real(z.alpha, "zeta.alpha")
         _require(0.0 < z.alpha < 1.0, "zeta.alpha: must be in (0, 1)")
         _require(z.replicates >= 1, "zeta.replicates: must be >= 1")
 
@@ -231,6 +241,22 @@ def _require(cond: bool, message: str) -> None:
 
 def _require_count(value, key: str) -> None:
     _require(_is_int(value), f"{key}: must be an integer, got {value!r}")
+
+
+def _require_real(value, key: str) -> None:
+    _require(_is_real(value), f"{key}: must be a finite number, got {value!r}")
+
+
+def _require_reals(values, key: str) -> None:
+    _require(isinstance(values, list), f"{key}: must be a list of numbers, got {values!r}")
+    for i, v in enumerate(values):
+        _require_real(v, f"{key}[{i}]")
+
+
+def _require_matrix(rows, key: str) -> None:
+    _require(isinstance(rows, list), f"{key}: must be a list of rows, got {rows!r}")
+    for i, row in enumerate(rows):
+        _require_reals(row, f"{key}[{i}]")
 
 
 def _require_sweep(values, key: str, is_valid, kind: str) -> None:

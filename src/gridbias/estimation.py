@@ -242,14 +242,39 @@ def estimate_contrast(
 
 
 def _resample_counts(n: int, n_boot: int, seed: int) -> np.ndarray:
-    """``(n_boot, n)`` unit multiplicities; replicate ``b`` draws ``n``
-    indices from the stream ``SeedSequence((seed, b))``."""
-    idx = np.empty((n_boot, n), dtype=np.int64)
-    for b in range(n_boot):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
-        idx[b] = rng.integers(0, n, size=n)
+    """``(n_boot, n)`` unit multiplicities.  All indices come from one
+    stream, ``default_rng(SeedSequence(seed)).integers(0, n, size=(n_boot,
+    n))``; row ``b`` of that draw is replicate ``b``."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    idx = rng.integers(0, n, size=(n_boot, n))
     idx += n * np.arange(n_boot)[:, None]
     return np.bincount(idx.ravel(), minlength=n_boot * n).reshape(n_boot, n).astype(float)
+
+
+def _quantiles(x: np.ndarray, q: list[float]) -> np.ndarray:
+    """``np.quantile(x, q)`` (method ``"linear"``) bit for bit, without the
+    ``numpy.ma`` import that its first call costs (about 15 ms).
+
+    The same partition as numpy's puts the order statistics in place; the
+    virtual index is ``(n - 1) q``, an index at or past the last one reads
+    the last element, and ``a + d g`` (``b - d (1 - g)`` when ``g >= 0.5``)
+    interpolates, as numpy's ``_lerp`` does.  A NaN in ``x`` gives the NaN
+    that sorts last.
+    """
+    n = len(x)
+    virtual = (n - 1) * np.asarray(q, dtype=float)
+    lo = np.floor(virtual)
+    hi = lo + 1
+    top = virtual >= n - 1
+    lo[top] = hi[top] = -1
+    lo, hi = lo.astype(np.intp), hi.astype(np.intp)
+    x = np.partition(x, sorted({0, -1, *lo.tolist(), *hi.tolist()}))
+    if np.isnan(x[-1]):
+        return np.full(virtual.shape, x[-1])
+    g = virtual - lo
+    a, b = x[lo], x[hi]
+    d = b - a
+    return np.where(g >= 0.5, b - d * (1 - g), a + d * g)
 
 
 def bootstrap_ci(
@@ -262,13 +287,14 @@ def bootstrap_ci(
 ) -> tuple[float, float]:
     """Percentile bootstrap interval for the plug-in contrast.
 
-    Resamples whole units with replacement; replicate ``b`` draws its
-    indices from the stream ``SeedSequence((seed, b))``, so the interval is
-    deterministic given the seed and independent of evaluation order.  The
-    pooled fit depends on the data only through per-unit sufficient
-    statistics, so a replicate is not refit on copied data: its unit counts
-    weight those statistics, and one batched 3x3 solve fits all replicates.
-    Quantiles interpolate linearly between order statistics.  Replicates
+    Resamples whole units with replacement.  One stream keyed on
+    ``SeedSequence(seed)`` draws the indices of every replicate at once
+    (see :func:`_resample_counts`), so the interval is deterministic given
+    the seed.  The pooled fit depends on the data only through per-unit
+    sufficient statistics, so a replicate is not refit on copied data: its
+    unit counts weight those statistics, and one batched 3x3 solve fits all
+    replicates.  Quantiles interpolate linearly between order statistics,
+    bit for bit as ``np.quantile`` does (:func:`_quantiles`).  Replicates
     whose design is rank deficient are skipped; more than 10% of them
     raises :class:`BootstrapFailureError`.
     """
@@ -283,7 +309,7 @@ def bootstrap_ci(
         raise BootstrapFailureError(
             f"{failures}/{n_boot} bootstrap replicates had degenerate designs"
         )
-    lower, upper = np.quantile(stats[~degenerate], [alpha / 2.0, 1.0 - alpha / 2.0])
+    lower, upper = _quantiles(stats[~degenerate], [alpha / 2.0, 1.0 - alpha / 2.0])
     return float(lower), float(upper)
 
 

@@ -43,13 +43,14 @@ def lstsq_contrast(values, grid, plan_star, plan_base):
 
 
 def lstsq_bootstrap(panel, plan_star, plan_base, n_boot, alpha, seed):
-    """Percentile interval and the mask of degenerate replicates, with the
-    same ``SeedSequence((seed, b))`` streams as ``bootstrap_ci``."""
+    """Percentile interval and the mask of degenerate replicates; replicate
+    ``b`` refits row ``b`` of the same single ``SeedSequence(seed)`` draw as
+    ``bootstrap_ci``."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    draws = rng.integers(0, panel.n, size=(n_boot, panel.n))
     stats = []
     degenerate = np.zeros(n_boot, dtype=bool)
-    for b in range(n_boot):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
-        idx = rng.integers(0, panel.n, size=panel.n)
+    for b, idx in enumerate(draws):
         try:
             stats.append(lstsq_contrast(panel.values[idx], panel.grid, plan_star, plan_base))
         except DegenerateDesignError:

@@ -2,6 +2,9 @@ import copy
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr
 from pathlib import Path
@@ -11,6 +14,7 @@ import pytest
 import yaml
 from hypothesis import given, strategies as st
 
+import gridbias
 from gridbias import (
     Grid,
     TreatmentPlan,
@@ -44,8 +48,18 @@ SMALL_CONFIG = {
 }
 
 
+# SMALL_CONFIG with a model section and plans whose list fields are not
+# empty, so that every typed field below has an entry to corrupt.
+TYPED_CONFIG = {
+    **SMALL_CONFIG,
+    "model": ExperimentConfig().to_dict()["model"],
+    "plan_star": {"kind": "piecewise", "value": 1.0, "breakpoints": [0.5], "values": [1.0, 0.0]},
+    "plan_base": {"kind": "tabulated", "value": 0.0, "times": [0.0, 0.5], "values": [0.0, 1.0]},
+}
+
 # Every count (int) and real (finite int or float, not bool) field of the
-# config; a field that is a list in SMALL_CONFIG is a sweep of entries.
+# config; a field that is a list in TYPED_CONFIG is a sweep, vector or
+# matrix of entries.
 TYPED_FIELDS = [
     ("simulate", "n_units", "count"),
     ("simulate", "j", "count"),
@@ -59,6 +73,17 @@ TYPED_FIELDS = [
     ("bias_table", "beta12", "real"),
     ("zeta", "beta12", "real"),
     ("zeta", "alpha", "real"),
+    ("model", "beta", "real"),
+    ("model", "sigma", "real"),
+    ("model", "init_mean", "real"),
+    ("model", "init_cov", "real"),
+    ("model", "horizon", "real"),
+    ("plan_star", "value", "real"),
+    ("plan_star", "breakpoints", "real"),
+    ("plan_star", "values", "real"),
+    ("plan_base", "value", "real"),
+    ("plan_base", "times", "real"),
+    ("plan_base", "values", "real"),
 ]
 
 
@@ -180,6 +205,9 @@ class TestCliExitCodes:
             ("zeta", "zeta", "alpha", "0.05"),
             ("zeta", "zeta", "n_boot", 2.5),
             ("bias-table", "bias_table", "beta11", ["x"]),
+            ("bias-table", "model", "beta", [[True, -5.0], [-3.0, 0.5]]),
+            ("bias-table", "plan_star", "value", True),
+            ("bias-table", "model", "horizon", "1"),
         ],
     )
     def test_wrongly_typed_field_is_exit_2(self, command, section, key, value, tmp_path, capsys):
@@ -190,6 +218,11 @@ class TestCliExitCodes:
         assert f"config error: {section}.{key}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_valid_typed_config_runs(self, tmp_path):
+        cfg_path = tmp_path / "typed.yaml"
+        cfg_path.write_text(yaml.safe_dump(TYPED_CONFIG))
+        assert main(["bias-table", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+
     @given(data=st.data())
     def test_any_wrongly_typed_count_or_real_is_exit_2(self, data):
         section, key, kind = data.draw(st.sampled_from(TYPED_FIELDS))
@@ -199,12 +232,11 @@ class TestCliExitCodes:
         else:
             wrong |= st.sampled_from([math.nan, math.inf, -math.inf])
         value = data.draw(wrong)
-        raw = copy.deepcopy(SMALL_CONFIG)
-        if isinstance(raw[section][key], list):
-            entries = raw[section][key]
-            entries[data.draw(st.integers(0, len(entries) - 1))] = value
-        else:
-            raw[section][key] = value
+        raw = copy.deepcopy(TYPED_CONFIG)
+        node, index = raw[section], key
+        while isinstance(node[index], list):
+            node, index = node[index], data.draw(st.integers(0, len(node[index]) - 1))
+        node[index] = value
         with tempfile.TemporaryDirectory() as tmp_dir:
             cfg_path = Path(tmp_dir) / "bad.yaml"
             cfg_path.write_text(yaml.safe_dump(raw))
@@ -336,3 +368,22 @@ class TestZetaCommand:
         main(["zeta", "--config", str(small_config), "--out", str(out2), "--threads", "4"])
         for name in ("zeta_cells.csv", "zeta_summary.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_run_does_not_import_numpy_ma(self, small_config, tmp_path):
+        # np.quantile imports numpy.ma on its first call, about 15 ms of a
+        # zeta run; the bootstrap's percentiles do without it.
+        script = (
+            "import sys\n"
+            "from gridbias.cli import main\n"
+            f"code = main(['zeta', '--config', {str(small_config)!r}, '--out', {str(tmp_path)!r}])\n"
+            "print(code, 'numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(gridbias.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.stdout.splitlines()[-1] == "0 False", done.stderr

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from gridbias import (
     BootstrapFailureError,
@@ -22,7 +23,7 @@ from gridbias import (
     theta_naive,
     zeta,
 )
-from gridbias.estimation import _fit, _resample_counts
+from gridbias.estimation import _fit, _quantiles, _resample_counts
 from tests.conftest import make_params
 from tests.lstsq_oracle import lstsq_bootstrap, lstsq_coefficients, lstsq_contrast
 
@@ -206,6 +207,57 @@ class TestBootstrapCi:
             bootstrap_ci(panel, plan_one, plan_zero, 1, 0.05, seed=1)
         with pytest.raises(ValueError):
             bootstrap_ci(panel, plan_one, plan_zero, 10, 1.5, seed=1)
+
+
+class TestResampleCounts:
+    def test_counts_are_the_bincount_of_one_seeded_draw(self):
+        n, n_boot, seed = 37, 60, 2**63 + 11
+        counts = _resample_counts(n, n_boot, seed)
+        draws = np.random.default_rng(np.random.SeedSequence(seed)).integers(
+            0, n, size=(n_boot, n)
+        )
+        want = np.array([np.bincount(row, minlength=n) for row in draws], dtype=float)
+        np.testing.assert_array_equal(counts, want)
+        np.testing.assert_array_equal(counts.sum(axis=1), np.full(n_boot, n))
+
+
+# Finite magnitudes from 1e-300 to 1e300 of either sign.
+_MAGNITUDES = st.floats(min_value=1e-300, max_value=1e300) | st.floats(
+    min_value=-1e300, max_value=-1e-300
+)
+
+
+@st.composite
+def _samples(draw):
+    """1 to 600 doubles: magnitudes, ties drawn from a small pool that may
+    hold zeros of both signs, and NaN or infinities at random places."""
+    pool = draw(st.lists(st.sampled_from([0.0, -0.0]) | _MAGNITUDES, min_size=1, max_size=4))
+    x = draw(st.lists(st.sampled_from(pool) | _MAGNITUDES, min_size=1, max_size=600))
+    x += draw(st.lists(st.sampled_from([math.nan, -math.nan, math.inf, -math.inf]), max_size=3))
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(x)[:600]
+
+
+class TestQuantiles:
+    @given(
+        x=_samples(),
+        alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        | st.sampled_from([5e-324, 1e-17, 0.5]),
+    )
+    # Virtual index 0.5, where the two interpolation forms round apart.
+    @example(x=[0.1, 0.7, 5.0], alpha=0.5)
+    # One sample, which numpy reads past the last index at weight 1.
+    @example(x=[-0.0], alpha=0.05)
+    # Tied zeros of both signs: numpy's partition decides which one is read.
+    @example(x=[-0.0, -0.0, 0.0, -1.0, -1.0, 0.0, -1.0, -1.0], alpha=0.05)
+    # The NaN that sorts last is returned as it is, sign bit included.
+    @example(x=[1.0, -math.nan], alpha=0.05)
+    def test_bit_identical_to_numpy_quantile(self, x, alpha):
+        x = np.asarray(x, dtype=float)
+        q = [alpha / 2.0, 1.0 - alpha / 2.0]
+        with np.errstate(invalid="ignore"):
+            want = np.quantile(x, q)
+            got = _quantiles(x, q)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestAgainstLstsqOracle:

@@ -265,8 +265,17 @@ class TestEulerMaruyamaOracle:
         ).T
         drift = np.eye(2) - h * ref_params.beta
         scale = math.sqrt(h)
+        # x <- x @ drift.T + (scale * z) @ sigma.T with fresh normals z, in
+        # place: the same draws and operations, without a new array per step.
+        drift_t = np.ascontiguousarray(drift.T)
+        sigma_t = np.ascontiguousarray(ref_params.sigma.T)
+        z, noise = np.empty((n, 2)), np.empty((n, 2))
         for _ in range(steps):
-            x = x @ drift.T + scale * rng.standard_normal((n, 2)) @ ref_params.sigma.T
+            rng.standard_normal(out=z)
+            np.multiply(scale, z, out=z)
+            np.matmul(z, sigma_t, out=noise)
+            np.matmul(x, drift_t, out=z)
+            np.add(z, noise, out=x)
         em_mean = x.mean(axis=0)
         em_se = x.std(axis=0, ddof=1) / math.sqrt(n)
 
