@@ -2,9 +2,7 @@
 treatment-outcome processes."""
 
 from .estimands import (
-    EstimandReport,
     TreatmentPlan,
-    estimand_report,
     identification_bias,
     plan_integral,
     theta_g,
@@ -16,12 +14,9 @@ from .estimation import (
     BootstrapFailureError,
     ContrastEstimate,
     DegenerateDesignError,
-    TransitionFit,
     ZetaReport,
     bootstrap_ci,
     estimate_contrast,
-    fit_transition,
-    gformula_plugin,
     sensitivity_ratio,
     zeta,
 )

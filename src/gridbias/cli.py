@@ -241,7 +241,11 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: out_dir: {exc}", file=sys.stderr)
+        return 2
     try:
         if args.command == "bias-table":
             paths = [cmd_bias_table(cfg, out_dir)]

@@ -135,6 +135,10 @@ class ExperimentConfig:
         _require(self.seed >= 0, "seed: must be non-negative")
         _require_count(self.threads, "threads")
         _require(self.threads >= 1, "threads: must be >= 1")
+        _require(
+            isinstance(self.out_dir, str) and self.out_dir != "",
+            f"out_dir: must be a non-empty string, got {self.out_dir!r}",
+        )
         bt = self.bias_table
         for key in ("beta11", "beta21", "beta12"):
             _require_sweep(getattr(bt, key), f"bias_table.{key}", _is_real, "a finite number")

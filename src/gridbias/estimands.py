@@ -28,14 +28,12 @@ from .linalg2 import matexp
 
 __all__ = [
     "TreatmentPlan",
-    "EstimandReport",
     "plan_integral",
     "true_eta",
     "theta_g",
     "identification_bias",
     "theta_naive",
     "theta_naive_limit",
-    "estimand_report",
 ]
 
 @dataclass(frozen=True)
@@ -251,35 +249,3 @@ def theta_naive(params, plan: TreatmentPlan, J: int) -> tuple[float, float]:
     w_last = plan(params.horizon * (J - 1) / J)
     theta_j = g[0, 1] * w_last + g[0, 0] * (g_prev[0, 0] * ey0 + g_prev[0, 1] * ew0)
     return float(theta_j), theta_naive_limit(params)
-
-
-@dataclass(frozen=True)
-class EstimandReport:
-    """All grid-level estimands for one (params, plan, J) cell."""
-
-    eta: float
-    theta_g: float
-    delta: float
-    theta_naive: float
-    theta_naive_limit: float
-    J: int
-    params: object
-    plan: TreatmentPlan
-
-
-def estimand_report(params, plan: TreatmentPlan, J: int) -> EstimandReport:
-    """Evaluate every estimand for one cell; ``delta`` is exactly
-    ``theta_g - eta`` as computed."""
-    eta = true_eta(params, plan)
-    tg = theta_g(params, plan, J)
-    tn = theta_naive(params, plan, J)[0] if J >= 2 else math.nan
-    return EstimandReport(
-        eta=eta,
-        theta_g=tg,
-        delta=tg - eta,
-        theta_naive=tn,
-        theta_naive_limit=theta_naive_limit(params),
-        J=J,
-        params=params,
-        plan=plan,
-    )

@@ -24,7 +24,6 @@ that discretization error could plausibly explain away.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +34,8 @@ from .sde import TrajectoryPanel, subsample_panel
 __all__ = [
     "DegenerateDesignError",
     "BootstrapFailureError",
-    "TransitionFit",
     "ContrastEstimate",
     "ZetaReport",
-    "fit_transition",
-    "gformula_plugin",
     "estimate_contrast",
     "bootstrap_ci",
     "sensitivity_ratio",
@@ -71,29 +67,10 @@ class BootstrapFailureError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TransitionFit:
-    """Pooled OLS fit of ``Y_k`` on ``(1, Y_{k-1}, W_{k-1})``."""
-
-    intercept: float
-    lag_outcome: float
-    lag_treatment: float
-    residual_variance: float
-    n_transitions: int
-
-    def __post_init__(self):
-        for name in ("intercept", "lag_outcome", "lag_treatment"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"non-finite coefficient {name}")
-
-
-@dataclass(frozen=True)
 class ContrastEstimate:
     """Plug-in contrast between two schedules sharing one fitted model."""
 
     tau_hat: float
-    J: int
-    plan_star: TreatmentPlan
-    plan_base: TreatmentPlan
 
 
 @dataclass(frozen=True)
@@ -110,8 +87,6 @@ class ZetaReport:
     ci_lower: float
     ci_upper: float
     zeta: float | None
-    alpha: float
-    n_boot: int
     seed: int
 
     def __post_init__(self):
@@ -198,37 +173,6 @@ def _contrast(
     )
 
 
-def fit_transition(panel: TrajectoryPanel) -> TransitionFit:
-    """Fit the pooled transition model to every (unit, step) pair."""
-    values = panel.values
-    coef, _ = _sample_fit(values)
-    a, b, c = coef[0]
-    resid = values[:, 1:, 0] - (a + b * values[:, :-1, 0] + c * values[:, :-1, 1])
-    dof = resid.size - 3
-    resid_var = float(np.sum(resid * resid) / dof) if dof > 0 else 0.0
-    return TransitionFit(
-        intercept=float(a),
-        lag_outcome=float(b),
-        lag_treatment=float(c),
-        residual_variance=resid_var,
-        n_transitions=int(resid.size),
-    )
-
-
-def gformula_plugin(
-    fit: TransitionFit, y0_mean: float, plan: TreatmentPlan, grid
-) -> float:
-    """Plug-in mean of the outcome at the horizon under a schedule.
-
-    Iterates ``y_k = a + b y_{k-1} + c w(t_{k-1})`` from ``y_0 = y0_mean``;
-    for a linear homoscedastic transition model this equals the full
-    iterated-expectation functional exactly.
-    """
-    return float(
-        _plugin(fit.intercept, fit.lag_outcome, fit.lag_treatment, y0_mean, plan, grid)
-    )
-
-
 def estimate_contrast(
     panel: TrajectoryPanel, plan_star: TreatmentPlan, plan_base: TreatmentPlan
 ) -> ContrastEstimate:
@@ -236,9 +180,7 @@ def estimate_contrast(
     baseline outcome mean."""
     coef, y0_mean = _sample_fit(panel.values)
     tau = _contrast(coef, y0_mean, panel.grid, plan_star, plan_base)
-    return ContrastEstimate(
-        tau_hat=float(tau[0]), J=panel.grid.J, plan_star=plan_star, plan_base=plan_base
-    )
+    return ContrastEstimate(tau_hat=float(tau[0]))
 
 
 def _resample_counts(n: int, n_boot: int, seed: int) -> np.ndarray:
@@ -361,7 +303,5 @@ def zeta(
         ci_lower=lower,
         ci_upper=upper,
         zeta=ratio,
-        alpha=alpha,
-        n_boot=n_boot,
         seed=seed,
     )

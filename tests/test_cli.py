@@ -208,15 +208,34 @@ class TestCliExitCodes:
             ("bias-table", "model", "beta", [[True, -5.0], [-3.0, 0.5]]),
             ("bias-table", "plan_star", "value", True),
             ("bias-table", "model", "horizon", "1"),
+            ("bias-table", None, "out_dir", 5),
+            ("bias-table", None, "out_dir", None),
+            ("bias-table", None, "out_dir", ["a"]),
+            ("bias-table", None, "out_dir", ""),
         ],
     )
-    def test_wrongly_typed_field_is_exit_2(self, command, section, key, value, tmp_path, capsys):
+    def test_wrongly_typed_field_is_exit_2(
+        self, command, section, key, value, tmp_path, capsys, monkeypatch
+    ):
+        raw = {key: value} if section is None else {section: {key: value}}
         bad = tmp_path / "bad.yaml"
-        bad.write_text(yaml.safe_dump({section: {key: value}}))
-        code = main([command, "--config", str(bad), "--out", str(tmp_path / "o")])
+        bad.write_text(yaml.safe_dump(raw))
+        monkeypatch.chdir(tmp_path)
+        # ``--out`` would override a malformed top-level ``out_dir``.
+        out = [] if section is None else ["--out", "o"]
+        code = main([command, "--config", str(bad), *out])
         assert code == 2
-        assert f"config error: {section}.{key}" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        name = key if section is None else f"{section}.{key}"
+        assert f"config error: {name}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.yaml"]
+
+    def test_out_naming_a_file_is_exit_2(self, small_config, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        code = main(["bias-table", "--config", str(small_config), "--out", str(taken)])
+        assert code == 2
+        assert "config error: out_dir: " in capsys.readouterr().err
+        assert taken.read_text() == "not a directory\n"
 
     def test_valid_typed_config_runs(self, tmp_path):
         cfg_path = tmp_path / "typed.yaml"

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from gridbias import (
     ModelParams,
     TreatmentPlan,
-    estimand_report,
     identification_bias,
     matexp,
     plan_integral,
@@ -265,6 +264,10 @@ class TestBiasForms:
             d2 = identification_bias_expanded(params, plan, J)
             assert abs(d1 - d2) < 1e-10
 
+    def test_delta_is_exact_difference(self, ref_params, plan_one):
+        delta = identification_bias(ref_params, plan_one, 12)
+        assert delta == theta_g(ref_params, plan_one, 12) - true_eta(ref_params, plan_one)
+
     def test_sharp_null_bias_vanishes(self, plan_one):
         for b11 in (0.2, 0.5, 1.0):
             for b21 in (-3.0, 0.0, 3.0):
@@ -316,15 +319,3 @@ class TestThetaNaive:
         with pytest.raises(ValueError):
             theta_naive(ref_params, plan_one, 1)
 
-
-class TestEstimandReport:
-    def test_delta_is_exact_difference(self, ref_params, plan_one):
-        rep = estimand_report(ref_params, plan_one, 12)
-        assert rep.delta == rep.theta_g - rep.eta
-        assert rep.J == 12
-        assert rep.theta_naive_limit == pytest.approx(NAIVE_LIMIT_REF, abs=1e-12)
-
-    def test_single_step_report_has_no_naive_value(self, ref_params, plan_one):
-        rep = estimand_report(ref_params, plan_one, 1)
-        assert math.isnan(rep.theta_naive)
-        assert math.isfinite(rep.theta_naive_limit)

@@ -9,12 +9,9 @@ from gridbias import (
     DegenerateDesignError,
     Grid,
     TrajectoryPanel,
-    TransitionFit,
     TreatmentPlan,
     bootstrap_ci,
     estimate_contrast,
-    fit_transition,
-    gformula_plugin,
     matexp,
     sensitivity_ratio,
     simulate_panel,
@@ -23,7 +20,7 @@ from gridbias import (
     theta_naive,
     zeta,
 )
-from gridbias.estimation import _fit, _quantiles, _resample_counts
+from gridbias.estimation import _fit, _plugin, _quantiles, _resample_counts, _sample_fit
 from tests.conftest import make_params
 from tests.lstsq_oracle import lstsq_bootstrap, lstsq_coefficients, lstsq_contrast
 
@@ -56,71 +53,70 @@ def partly_constant_treatment_panel(n, varying, J=5, seed=0):
     return TrajectoryPanel(grid=Grid(J=J, T=1.0), n=n, values=values, seed=seed)
 
 
+def residual_variance(values, coef):
+    """Unbiased residual variance of the pooled fit ``coef = (a, b, c)``
+    and the number of transitions it was fit on."""
+    a, b, c = coef
+    resid = values[:, 1:, 0] - (a + b * values[:, :-1, 0] + c * values[:, :-1, 1])
+    return float(np.sum(resid * resid) / (resid.size - 3)), resid.size
+
+
 class TestFitTransition:
     def test_exact_recovery_from_noiseless_panel(self):
         panel = synthetic_panel(0.5, 0.9, 0.1)
-        fit = fit_transition(panel)
-        assert fit.intercept == pytest.approx(0.5, abs=1e-9)
-        assert fit.lag_outcome == pytest.approx(0.9, abs=1e-9)
-        assert fit.lag_treatment == pytest.approx(0.1, abs=1e-9)
-        assert fit.n_transitions == 6 * 5
-        assert fit.residual_variance == pytest.approx(0.0, abs=1e-18)
+        coef, _ = _sample_fit(panel.values)
+        a, b, c = coef[0]
+        assert a == pytest.approx(0.5, abs=1e-9)
+        assert b == pytest.approx(0.9, abs=1e-9)
+        assert c == pytest.approx(0.1, abs=1e-9)
+        resid_var, n_transitions = residual_variance(panel.values, coef[0])
+        assert n_transitions == 6 * 5
+        assert resid_var == pytest.approx(0.0, abs=1e-18)
 
     def test_too_few_transitions(self):
         panel = synthetic_panel(0.0, 0.5, 0.5, n=1, J=2)
         with pytest.raises(DegenerateDesignError):
-            fit_transition(panel)
+            _sample_fit(panel.values)
 
     def test_constant_treatment_is_degenerate(self):
         panel = synthetic_panel(0.0, 0.5, 0.5, n=5, J=5)
         values = panel.values.copy()
         values[:, :, 1] = 1.0
-        broken = TrajectoryPanel(grid=panel.grid, n=panel.n, values=values, seed=0)
         with pytest.raises(DegenerateDesignError):
-            fit_transition(broken)
+            _sample_fit(values)
 
     def test_large_sample_recovers_transition_map(self, ref_params):
         J, n = 10, 20_000
         panel = simulate_panel(ref_params, Grid(J=J, T=1.0), n, seed=21)
-        fit = fit_transition(panel)
+        coef, _ = _sample_fit(panel.values)
+        a, b, c = coef[0]
+        resid_var, _ = residual_variance(panel.values, coef[0])
         g = matexp(ref_params.beta, -1.0 / J)
         # OLS standard errors from the pooled design
         y_lag = panel.values[:, :-1, 0].ravel()
         w_lag = panel.values[:, :-1, 1].ravel()
         x = np.column_stack((np.ones_like(y_lag), y_lag, w_lag))
-        se = np.sqrt(fit.residual_variance * np.diag(np.linalg.inv(x.T @ x)))
-        assert abs(fit.intercept - 0.0) < 4 * se[0]
-        assert abs(fit.lag_outcome - g[0, 0]) < 4 * se[1]
-        assert abs(fit.lag_treatment - g[0, 1]) < 4 * se[2]
-
-    def test_rejects_nonfinite_coefficients(self):
-        with pytest.raises(ValueError):
-            TransitionFit(
-                intercept=math.nan,
-                lag_outcome=0.0,
-                lag_treatment=0.0,
-                residual_variance=1.0,
-                n_transitions=10,
-            )
+        se = np.sqrt(resid_var * np.diag(np.linalg.inv(x.T @ x)))
+        assert abs(a - 0.0) < 4 * se[0]
+        assert abs(b - g[0, 0]) < 4 * se[1]
+        assert abs(c - g[0, 1]) < 4 * se[2]
 
 
 class TestGformulaPlugin:
     def test_fixed_point(self):
-        fit = TransitionFit(0.0, 0.9, 0.1, 0.0, 10)
         plan = TreatmentPlan.constant(1.0, horizon=1.0)
-        assert gformula_plugin(fit, 1.0, plan, Grid(J=2, T=1.0)) == 1.0
+        assert _plugin(0.0, 0.9, 0.1, 1.0, plan, Grid(J=2, T=1.0)) == 1.0
 
     def test_geometric_decay_under_null_plan(self):
-        fit = TransitionFit(0.0, 0.8, 0.3, 0.0, 10)
         plan = TreatmentPlan.constant(0.0, horizon=1.0)
-        got = gformula_plugin(fit, 2.0, plan, Grid(J=7, T=1.0))
+        got = _plugin(0.0, 0.8, 0.3, 2.0, plan, Grid(J=7, T=1.0))
         assert got == pytest.approx(0.8**7 * 2.0, rel=1e-14)
 
     def test_true_coefficients_reproduce_grid_functional(self, ref_params, plan_one):
         J = 9
         g = matexp(ref_params.beta, -1.0 / J)
-        fit = TransitionFit(0.0, float(g[0, 0]), float(g[0, 1]), 0.0, 100)
-        got = gformula_plugin(fit, float(ref_params.init_mean[0]), plan_one, Grid(J=J, T=1.0))
+        a, b, c = 0.0, float(g[0, 0]), float(g[0, 1])
+        got = _plugin(a, b, c, float(ref_params.init_mean[0]), plan_one, Grid(J=J, T=1.0))
         assert got == pytest.approx(theta_g(ref_params, plan_one, J), abs=1e-12)
 
 
@@ -266,9 +262,8 @@ class TestAgainstLstsqOracle:
     @pytest.mark.parametrize("J", [8, 40])
     def test_fit_coefficients_match_lstsq(self, ref_params, J):
         panel = simulate_panel(ref_params, Grid(J=J, T=1.0), 200, seed=40 + J)
-        fit = fit_transition(panel)
-        got = [fit.intercept, fit.lag_outcome, fit.lag_treatment]
-        np.testing.assert_allclose(got, lstsq_coefficients(panel.values), rtol=1e-9)
+        coef, _ = _sample_fit(panel.values)
+        np.testing.assert_allclose(coef[0], lstsq_coefficients(panel.values), rtol=1e-9)
 
     @pytest.mark.parametrize("J", [8, 40])
     def test_bootstrap_matches_lstsq_refits(self, ref_params, plan_one, plan_zero, J):
@@ -342,9 +337,9 @@ class TestZeta:
         panel = simulate_panel(ref_params, Grid(J=16, T=1.0), 120, seed=31)
         rep = zeta(panel, plan_one, plan_zero, 50, 0.05, seed=31)
         resim = simulate_panel(ref_params, Grid(J=16, T=1.0), 120, seed=31)
-        manual = estimate_contrast(subsample_panel(resim, 2), plan_one, plan_zero)
-        assert rep.tau_hat_half == manual.tau_hat
-        assert manual.J == 8
+        half = subsample_panel(resim, 2)
+        assert rep.tau_hat_half == estimate_contrast(half, plan_one, plan_zero).tau_hat
+        assert half.grid.J == 8
 
     def test_null_effect_mostly_zero(self, plan_one, plan_zero):
         p = make_params(beta12=0.0)
@@ -373,11 +368,10 @@ class TestNaiveEstimandMonteCarlo:
         estimates = []
         for seed in range(10):
             panel = simulate_panel(ref_params, Grid(J=J, T=1.0), 50_000, seed=100 + seed)
-            fit = fit_transition(panel)
+            coef, _ = _sample_fit(panel.values)
+            a, b, c = coef[0]
             y_prev = panel.values[:, -2, 0]
             w_star = plan_one((J - 1) / J)
-            estimates.append(
-                fit.intercept + fit.lag_outcome * y_prev.mean() + fit.lag_treatment * w_star
-            )
+            estimates.append(a + b * y_prev.mean() + c * w_star)
         se = np.std(estimates, ddof=1) / math.sqrt(len(estimates))
         assert abs(np.mean(estimates) - want) < 4 * se
