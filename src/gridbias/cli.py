@@ -25,6 +25,7 @@ import csv
 import statistics
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -82,24 +83,19 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _swept_params(cfg: ExperimentConfig, b11: float, b21: float, b12: float) -> ModelParams:
-    beta = [[float(b11), float(b12)], [float(b21), float(cfg.model.beta[1][1])]]
-    return ModelParams(
-        beta=np.array(beta),
-        sigma=np.array(cfg.model.sigma, dtype=float),
-        init_mean=np.array(cfg.model.init_mean, dtype=float),
-        init_cov=np.array(cfg.model.init_cov, dtype=float),
-        horizon=float(cfg.model.horizon),
-    )
+def _swept_params(base: ModelParams, b11: float, b21: float, b12: float) -> ModelParams:
+    """``base`` with the swept drift entries; ``beta22`` stays."""
+    return replace(base, beta=[[b11, b12], [b21, base.beta[1, 1]]])
 
 
 def cmd_bias_table(cfg: ExperimentConfig, out_dir: Path) -> Path:
     """Closed-form estimand table over beta11 x beta21 x beta12 x J."""
-    plan = cfg.plan_star.to_plan(float(cfg.model.horizon))
+    base = cfg.model.to_params()
+    plan = cfg.plan_star.to_plan(base.horizon)
     bt = cfg.bias_table
 
     def row(b11, b21, b12, j):
-        params = _swept_params(cfg, b11, b21, b12)
+        params = _swept_params(base, b11, b21, b12)
         tg = theta_g(params, plan, j)
         eta = true_eta(params, plan)
         return (
@@ -144,8 +140,9 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> tuple[Path, Path]:
 def cmd_zeta(cfg: ExperimentConfig, out_dir: Path) -> tuple[Path, Path]:
     """Sensitivity sweep over (beta12, J) with seed replicates per cell."""
     z = cfg.zeta
-    plan_star = cfg.plan_star.to_plan(float(cfg.model.horizon))
-    plan_base = cfg.plan_base.to_plan(float(cfg.model.horizon))
+    base = cfg.model.to_params()
+    plan_star = cfg.plan_star.to_plan(base.horizon)
+    plan_base = cfg.plan_base.to_plan(base.horizon)
     cells_hash = cfg.params_hash()
     cells = [
         (ib, float(b12), ij, int(j), r)
@@ -157,7 +154,7 @@ def cmd_zeta(cfg: ExperimentConfig, out_dir: Path) -> tuple[Path, Path]:
     def run_cell(cell):
         ib, b12, ij, j, r = cell
         seed = derive_seed(cfg.seed, ib, ij, r)
-        params = _swept_params(cfg, cfg.model.beta[0][0], cfg.model.beta[1][0], b12)
+        params = _swept_params(base, base.beta[0, 0], base.beta[1, 0], b12)
         panel = simulate_panel(params, Grid(J=j, T=params.horizon), z.n_units, seed)
         report = zeta(panel, plan_star, plan_base, z.n_boot, z.alpha, seed)
         return cell, report
@@ -258,6 +255,7 @@ def main(argv=None) -> int:
         DegenerateDesignError,
         FloatingPointError,
         np.linalg.LinAlgError,
+        OverflowError,
         ValueError,
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

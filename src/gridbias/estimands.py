@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,100 +38,71 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TreatmentPlan:
-    """A deterministic bounded treatment schedule on ``[0, horizon]``.
+    """A deterministic bounded step schedule ``w`` on ``[0, horizon]``.
 
-    Three kinds are supported:
+    ``values[0]`` applies from 0 and ``values[i]`` from ``jumps[i-1]`` on,
+    each piece closed on the left; the ``jumps`` increase strictly within
+    ``(0, horizon]``, and a jump at the horizon sets ``w(horizon)`` only.
 
-    * ``constant``: ``w(t) = value`` everywhere.
-    * ``piecewise``: constant on the intervals cut by strictly increasing
-      interior ``breakpoints``; ``values[i]`` applies on the i-th interval,
-      closed on the left.
-    * ``tabulated``: left-step interpolation of knot ``times`` (starting at
-      0) and ``values``; ``w(t)`` is the value at the largest knot <= t.
-      A knot may sit at the horizon; it sets ``w(horizon)`` only.
+    Build a plan through its factories, one per config ``kind``:
 
-    Instances are immutable; use the factory classmethods.
+    * ``constant(value)``: ``w(t) = value`` everywhere (no jumps).
+    * ``piecewise(breakpoints, values)``: the breakpoints, strictly inside
+      ``(0, horizon)``, are the jumps.
+    * ``tabulated(times, values)``: left-step interpolation of knots that
+      start at 0; ``w(t)`` is the value at the largest knot <= t, so the
+      knots after 0 are the jumps.  A knot may sit at the horizon.
     """
 
-    kind: str
     horizon: float
-    value: float = 0.0
-    breakpoints: tuple[float, ...] = ()
-    values: tuple[float, ...] = ()
-    times: tuple[float, ...] = field(default=(), repr=False)
+    jumps: tuple[float, ...]
+    values: tuple[float, ...]
 
     @classmethod
     def constant(cls, value: float, horizon: float) -> "TreatmentPlan":
-        return cls(kind="constant", horizon=horizon, value=float(value))
+        return cls(horizon, (), (float(value),))
 
     @classmethod
     def piecewise(cls, breakpoints, values, horizon: float) -> "TreatmentPlan":
-        return cls(
-            kind="piecewise",
-            horizon=horizon,
-            breakpoints=tuple(float(b) for b in breakpoints),
-            values=tuple(float(v) for v in values),
-        )
+        breakpoints = tuple(float(b) for b in breakpoints)
+        if breakpoints and not breakpoints[-1] < horizon:
+            raise ValueError("breakpoints must lie strictly inside (0, horizon)")
+        return cls(horizon, breakpoints, tuple(float(v) for v in values))
 
     @classmethod
     def tabulated(cls, times, values, horizon: float) -> "TreatmentPlan":
-        return cls(
-            kind="tabulated",
-            horizon=horizon,
-            times=tuple(float(t) for t in times),
-            values=tuple(float(v) for v in values),
-        )
+        times = tuple(float(t) for t in times)
+        values = tuple(float(v) for v in values)
+        if len(times) != len(values) or not times:
+            raise ValueError("tabulated plan needs equal-length, non-empty times/values")
+        if times[0] != 0.0:
+            raise ValueError("tabulated plan must start at time 0")
+        return cls(horizon, times[1:], values)
 
     def __post_init__(self):
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError("plan horizon must be a positive finite number")
-        if self.kind == "constant":
-            if not math.isfinite(self.value):
-                raise ValueError("constant plan value must be finite")
-        elif self.kind == "piecewise":
-            if len(self.values) != len(self.breakpoints) + 1:
-                raise ValueError("piecewise plan needs len(values) == len(breakpoints) + 1")
-            if any(not math.isfinite(v) for v in self.values):
-                raise ValueError("piecewise plan values must be finite")
-            bp = self.breakpoints
-            if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
-                raise ValueError("breakpoints must be strictly increasing")
-            if bp and not (0.0 < bp[0] and bp[-1] < self.horizon):
-                raise ValueError("breakpoints must lie strictly inside (0, horizon)")
-        elif self.kind == "tabulated":
-            if len(self.times) != len(self.values) or not self.times:
-                raise ValueError("tabulated plan needs equal-length, non-empty times/values")
-            if self.times[0] != 0.0:
-                raise ValueError("tabulated plan must start at time 0")
-            if any(t2 <= t1 for t1, t2 in zip(self.times, self.times[1:])):
-                raise ValueError("tabulated times must be strictly increasing")
-            if self.times[-1] > self.horizon:
-                raise ValueError("tabulated times must not exceed the horizon")
-            if any(not math.isfinite(v) for v in self.values):
-                raise ValueError("tabulated plan values must be finite")
-        else:
-            raise ValueError(f"unknown plan kind {self.kind!r}")
+        if len(self.values) != len(self.jumps) + 1:
+            raise ValueError("plan needs exactly one more value than jumps")
+        if not all(math.isfinite(v) for v in self.values):
+            raise ValueError("plan values must be finite")
+        j = self.jumps
+        if not all(a < b for a, b in zip(j, j[1:])):
+            raise ValueError("plan jumps must be strictly increasing")
+        if j and not (0.0 < j[0] and j[-1] <= self.horizon):
+            raise ValueError("plan jumps must lie in (0, horizon]")
 
     def __call__(self, t: float) -> float:
         if not 0.0 <= t <= self.horizon:
             raise ValueError(f"plan evaluated outside [0, {self.horizon}]: t={t}")
-        if self.kind == "constant":
-            return self.value
-        if self.kind == "piecewise":
-            return self.values[bisect.bisect_right(self.breakpoints, t)]
-        return self.values[bisect.bisect_right(self.times, t) - 1]
+        return self.values[bisect.bisect_right(self.jumps, t)]
 
     def values_at(self, ts: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at an array of times within the domain."""
         ts = np.asarray(ts, dtype=float)
         if ts.size and (ts.min() < 0.0 or ts.max() > self.horizon):
             raise ValueError("plan evaluated outside its domain")
-        if self.kind == "constant":
-            return np.full(ts.shape, self.value)
-        if self.kind == "piecewise":
-            idx = np.searchsorted(self.breakpoints, ts, side="right")
-        else:
-            idx = np.searchsorted(self.times, ts, side="right") - 1
+        idx = np.searchsorted(self.jumps, ts, side="right")
         return np.asarray(self.values, dtype=float)[idx]
 
 
@@ -146,10 +117,9 @@ def _exp_weight_integral(lo: float, hi: float, b: float, rate: float) -> float:
 def plan_integral(plan: TreatmentPlan, a: float, b: float, rate: float) -> float:
     """``int_a^b w(s) e^{rate (s - b)} ds`` for a treatment schedule ``w``.
 
-    Every plan kind is constant between its jumps (the piecewise
-    breakpoints, the tabulated knots after 0; a constant plan has none), so
-    the integral is exact: a closed-form exponential integral per piece of
-    ``[a, b]``, weighted by the schedule's value on that piece.
+    The schedule is constant between its jumps, so the integral is exact: a
+    closed-form exponential integral per piece of ``[a, b]``, weighted by
+    the schedule's value on that piece.
     """
     if a > b:
         raise ValueError("integration bounds must satisfy a <= b")
@@ -157,8 +127,7 @@ def plan_integral(plan: TreatmentPlan, a: float, b: float, rate: float) -> float
         raise ValueError("integration bounds outside the plan domain")
     if a == b:
         return 0.0
-    jumps = plan.breakpoints if plan.kind == "piecewise" else plan.times[1:]
-    cuts = [a] + [p for p in jumps if a < p < b] + [b]
+    cuts = [a] + [p for p in plan.jumps if a < p < b] + [b]
     total = 0.0
     for lo, hi in zip(cuts, cuts[1:]):
         total += plan((lo + hi) / 2.0) * _exp_weight_integral(lo, hi, b, rate)

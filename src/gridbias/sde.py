@@ -127,7 +127,6 @@ class TrajectoryPanel:
     grid: Grid
     n: int
     values: np.ndarray
-    seed: int
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float)
@@ -216,7 +215,7 @@ def simulate_panel(params: ModelParams, grid: Grid, n: int, seed: int) -> Trajec
     values[:, 0, :] = params.init_mean + z[:, 0, :] @ init_sqrt.T
     for k in range(grid.J):
         values[:, k + 1, :] = values[:, k, :] @ law.mean_map.T + z[:, k + 1, :] @ noise_sqrt.T
-    return TrajectoryPanel(grid=grid, n=n, values=values, seed=seed)
+    return TrajectoryPanel(grid=grid, n=n, values=values)
 
 
 def counterfactual_step_variance(params: ModelParams, delta: float) -> float:
@@ -272,7 +271,7 @@ def simulate_counterfactual(
     for k in range(grid.J):
         y = decay * y + forcing[k] + noise_sd * z[:, k + 1]
         values[:, k + 1, 0] = y
-    return TrajectoryPanel(grid=grid, n=n, values=values, seed=seed)
+    return TrajectoryPanel(grid=grid, n=n, values=values)
 
 
 def subsample_panel(panel: TrajectoryPanel, factor: int) -> TrajectoryPanel:
@@ -286,12 +285,7 @@ def subsample_panel(panel: TrajectoryPanel, factor: int) -> TrajectoryPanel:
     if panel.grid.J % factor != 0:
         raise ValueError(f"factor {factor} does not divide J={panel.grid.J}")
     coarse = Grid(J=panel.grid.J // factor, T=panel.grid.T)
-    return TrajectoryPanel(
-        grid=coarse,
-        n=panel.n,
-        values=panel.values[:, ::factor, :].copy(),
-        seed=panel.seed,
-    )
+    return TrajectoryPanel(grid=coarse, n=panel.n, values=panel.values[:, ::factor, :])
 
 
 def write_panel_csv(panel: TrajectoryPanel, path) -> None:
@@ -312,13 +306,12 @@ def write_panel_csv(panel: TrajectoryPanel, path) -> None:
             fh.write("".join([f"{i},{p}{y!r},{w!r}\n" for p, (y, w) in zip(prefixes, unit)]))
 
 
-def read_panel_csv(path, seed: int = -1) -> TrajectoryPanel:
+def read_panel_csv(path) -> TrajectoryPanel:
     """Rebuild a panel from :func:`write_panel_csv` output.
 
     The rows must form a complete grid: exactly one row per ``(unit, k)``
     for units ``0..n-1`` and steps ``0..J``, with ``t`` equal to the grid
     time ``Grid(J, T).times[k]``.  Anything else raises ``ValueError``.
-    The CSV does not carry the seed; pass it explicitly if known.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -349,4 +342,4 @@ def read_panel_csv(path, seed: int = -1) -> TrajectoryPanel:
     if not seen.all():
         u, k = np.argwhere(~seen)[0]
         raise ValueError(f"panel CSV is missing the row of unit {u}, step {k}")
-    return TrajectoryPanel(grid=grid, n=n, values=values, seed=seed)
+    return TrajectoryPanel(grid=grid, n=n, values=values)

@@ -1,16 +1,18 @@
 """Reference routes for the noise covariance, the identification bias,
-``theta_g`` and the panel CSV writer.
+``theta_g``, the panel CSV writer and the treatment schedule.
 
 The package computes each quantity one way: the transition noise
 covariance from Van Loan's block exponential, the bias by direct
-subtraction ``theta_g - eta``, ``theta_g`` by a recursion on Python floats
-and the panel CSV from one formatted string per unit.  The routes here
-compute the same numbers (or bytes) another way and exist only to
-cross-check those.
+subtraction ``theta_g - eta``, ``theta_g`` by a recursion on Python floats,
+the panel CSV from one formatted string per unit, and a schedule from one
+``(jumps, values)`` form.  The routes here compute the same numbers (or
+bytes) another way and exist only to cross-check those.
 """
 
+import bisect
 import csv
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,3 +108,55 @@ def write_panel_csv_rowwise(panel, path) -> None:
                         repr(float(panel.values[i, k, 1])),
                     )
                 )
+
+
+@dataclass(frozen=True)
+class KindPlan:
+    """A treatment schedule stored as its config ``kind`` plus that kind's
+    own fields, and read by one branch per kind: ``constant`` (``value``),
+    ``piecewise`` (interior ``breakpoints``, ``len(values) ==
+    len(breakpoints) + 1``) and ``tabulated`` (left-step knot ``times``
+    from 0, one value per knot).  No validation; inputs must be valid."""
+
+    kind: str
+    horizon: float
+    value: float = 0.0
+    breakpoints: tuple = ()
+    values: tuple = ()
+    times: tuple = ()
+
+    def __call__(self, t: float) -> float:
+        if self.kind == "constant":
+            return self.value
+        if self.kind == "piecewise":
+            return self.values[bisect.bisect_right(self.breakpoints, t)]
+        return self.values[bisect.bisect_right(self.times, t) - 1]
+
+    def values_at(self, ts) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        if self.kind == "constant":
+            return np.full(ts.shape, self.value)
+        if self.kind == "piecewise":
+            idx = np.searchsorted(self.breakpoints, ts, side="right")
+        else:
+            idx = np.searchsorted(self.times, ts, side="right") - 1
+        return np.asarray(self.values, dtype=float)[idx]
+
+
+def kind_plan_integral(plan: KindPlan, a: float, b: float, rate: float) -> float:
+    """``int_a^b w(s) e^{rate (s - b)} ds``, cut at the kind's own jumps
+    (the piecewise breakpoints, the tabulated knots after 0), each piece
+    integrated in closed form and weighted by the schedule at its
+    midpoint."""
+    if a == b:
+        return 0.0
+    jumps = plan.breakpoints if plan.kind == "piecewise" else plan.times[1:]
+    cuts = [a] + [p for p in jumps if a < p < b] + [b]
+    total = 0.0
+    for lo, hi in zip(cuts, cuts[1:]):
+        if rate == 0.0:
+            weight = hi - lo
+        else:
+            weight = math.exp(rate * (lo - b)) * math.expm1(rate * (hi - lo)) / rate
+        total += plan((lo + hi) / 2.0) * weight
+    return total

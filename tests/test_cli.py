@@ -286,6 +286,31 @@ class TestCliExitCodes:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_overflowing_swept_drift_is_exit_3(self, tmp_path, capsys):
+        # e^{-beta11 T} in eta exceeds the largest double at beta11 = -800.
+        sweep = {"beta11": [-800.0], "beta21": [0.0], "beta12": [1.0], "j_values": [2]}
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump({"bias_table": sweep}))
+        code = main(["bias-table", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "numerical failure: math range error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            {"kind": "piecewise", "breakpoints": [1.0], "values": [1.0, 0.0]},
+            {"kind": "piecewise", "breakpoints": [0.5], "values": [1.0]},
+            {"kind": "tabulated", "times": [0.0, 1.5], "values": [1.0, 0.0]},
+            {"kind": "tabulated", "times": [0.5], "values": [1.0]},
+        ],
+    )
+    def test_invalid_plan_is_exit_2(self, plan, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump({"plan_star": plan}))
+        code = main(["bias-table", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"config error: plan ({plan['kind']}): " in capsys.readouterr().err
+
 
 class TestBiasTableCommand:
     def test_rows_match_library_calls(self, small_config, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,12 @@ from gridbias import (
     true_eta,
 )
 from tests.conftest import make_params
-from tests.oracles import identification_bias_expanded, theta_g_float64
+from tests.oracles import (
+    KindPlan,
+    identification_bias_expanded,
+    kind_plan_integral,
+    theta_g_float64,
+)
 
 # 40-digit evaluations of the closed forms for the reference cell
 # (b11=0.2, b12=-5, T=1, E[Y0]=1, schedule identically 1).
@@ -81,11 +87,104 @@ class TestTreatmentPlan:
             lambda: TreatmentPlan.tabulated([0.1, 0.5], [1, 2], horizon=1.0),
             lambda: TreatmentPlan.tabulated([0.0, 0.5], [1, math.inf], horizon=1.0),
             lambda: TreatmentPlan.constant(math.nan, horizon=1.0),
+            lambda: TreatmentPlan.piecewise([1.0], [1, 2], horizon=1.0),
+            lambda: TreatmentPlan.tabulated([0.0, 1.5], [1, 2], horizon=1.0),
+            lambda: TreatmentPlan.piecewise([0.2, math.nan, 0.5], [1, 2, 3, 4], horizon=1.0),
         ],
     )
     def test_invalid_plans_rejected(self, bad):
         with pytest.raises(ValueError):
             bad()
+
+    def test_one_representation(self):
+        assert [f.name for f in dataclasses.fields(TreatmentPlan)] == [
+            "horizon",
+            "jumps",
+            "values",
+        ]
+        assert TreatmentPlan.constant(2.5, horizon=3.0) == TreatmentPlan(3.0, (), (2.5,))
+        assert TreatmentPlan.piecewise([0.5], [0, 1], horizon=1.0) == TreatmentPlan(
+            1.0, (0.5,), (0.0, 1.0)
+        )
+        assert TreatmentPlan.tabulated([0, 0.5, 1], [3, 4, 5], horizon=1.0) == TreatmentPlan(
+            1.0, (0.5, 1.0), (3.0, 4.0, 5.0)
+        )
+
+    def test_tabulated_equals_piecewise_and_constant(self):
+        bp, v = [0.2, 0.7], [1.0, -1.0, 4.0]
+        assert TreatmentPlan.tabulated([0.0, *bp], v, horizon=1.0) == TreatmentPlan.piecewise(
+            bp, v, horizon=1.0
+        )
+        assert TreatmentPlan.tabulated([0.0], [2.5], horizon=1.0) == TreatmentPlan.constant(
+            2.5, horizon=1.0
+        )
+
+
+@st.composite
+def plans_with_oracle(draw):
+    """A plan of a random kind from a factory, with the same input stored
+    as a :class:`KindPlan`.  Tabulated knots may include the horizon."""
+    horizon = draw(st.floats(0.01, 100.0))
+    kind = draw(st.sampled_from(["constant", "piecewise", "tabulated"]))
+    level = st.floats(-1e3, 1e3)
+    if kind == "constant":
+        value = draw(level)
+        return TreatmentPlan.constant(value, horizon), KindPlan(kind, horizon, value=value)
+    inner = st.floats(0.0, horizon, exclude_min=True, exclude_max=True)
+    cuts = sorted(draw(st.lists(inner, unique=True, max_size=6)))
+    if kind == "piecewise":
+        values = draw(st.lists(level, min_size=len(cuts) + 1, max_size=len(cuts) + 1))
+        plan = TreatmentPlan.piecewise(cuts, values, horizon)
+        return plan, KindPlan(kind, horizon, breakpoints=tuple(cuts), values=tuple(values))
+    times = [0.0, *cuts] + ([horizon] if draw(st.booleans()) else [])
+    values = draw(st.lists(level, min_size=len(times), max_size=len(times)))
+    plan = TreatmentPlan.tabulated(times, values, horizon)
+    return plan, KindPlan(kind, horizon, values=tuple(values), times=tuple(times))
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestAgainstKindOracle:
+    """The one ``(jumps, values)`` form against the per-kind reads it
+    replaced: every value and integral is the same double."""
+
+    @given(
+        case=plans_with_oracle(),
+        J=st.integers(1, 64),
+        fractions=st.lists(st.floats(0.0, 1.0), max_size=8),
+    )
+    def test_values_match_bit_for_bit(self, case, J, fractions):
+        plan, oracle = case
+        h = plan.horizon
+        ts = np.concatenate(
+            [
+                np.arange(J) * (h / J),
+                [0.0, h, *plan.jumps, *(min(f * h, h) for f in fractions)],
+            ]
+        )
+        assert plan.values_at(ts).tobytes() == oracle.values_at(ts).tobytes()
+        for t in ts.tolist():
+            assert _bits(plan(t)) == _bits(oracle(t))
+        if oracle.kind == "piecewise":
+            knots = [0.0, *oracle.breakpoints]
+            assert TreatmentPlan.tabulated(knots, oracle.values, h) == plan
+
+    @given(
+        case=plans_with_oracle(),
+        J=st.integers(1, 16),
+        rate=st.floats(-5.0, 5.0),
+        ends=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+    )
+    def test_integral_matches_bit_for_bit(self, case, J, rate, ends):
+        plan, oracle = case
+        h = plan.horizon
+        grid = np.linspace(0.0, h, J + 1).tolist()
+        a, b = sorted(min(e * h, h) for e in ends)
+        for lo, hi in [(0.0, h), (a, b), *zip(grid, grid[1:])]:
+            got = plan_integral(plan, lo, hi, rate)
+            assert _bits(got) == _bits(kind_plan_integral(oracle, lo, hi, rate))
 
 
 class TestPlanIntegral:

@@ -339,7 +339,7 @@ class TestPanelCsv:
         write_panel_csv(panel, path)
         header = path.read_text().splitlines()[0]
         assert header == "unit,k,t,Y,W"
-        back = read_panel_csv(path, seed=panel.seed)
+        back = read_panel_csv(path)
         assert back.grid == panel.grid
         assert back.n == panel.n
         np.testing.assert_array_equal(back.values, panel.values)
@@ -399,7 +399,7 @@ def panels(draw):
     size = 2 * n * (J + 1)
     finite = st.floats(allow_nan=False, allow_infinity=False)
     values = np.array(draw(st.lists(finite, min_size=size, max_size=size))).reshape(n, J + 1, 2)
-    return TrajectoryPanel(grid=Grid(J=J, T=T), n=n, values=values, seed=-1)
+    return TrajectoryPanel(grid=Grid(J=J, T=T), n=n, values=values)
 
 
 class TestPanelCsvBytes:
@@ -422,7 +422,7 @@ class TestPanelCsvBytes:
         values = np.array(
             [-0.0, 5e-324, 1e300, 1e-7, -1e-7, 1e16, -5e-324, 0.1, 0.0, -1e300, 2.5e-5, 1e22]
         ).reshape(2, 3, 2)
-        panel = TrajectoryPanel(grid=Grid(J=2, T=3.0), n=2, values=values, seed=0)
+        panel = TrajectoryPanel(grid=Grid(J=2, T=3.0), n=2, values=values)
         path = self._assert_same_bytes(panel, tmp_path)
         assert path.read_text().splitlines()[1] == "0,0,0.0,-0.0,5e-324"
 
@@ -436,7 +436,7 @@ class TestPanelCsvBytes:
     def test_round_trip_is_bit_exact(self, panel):
         with tempfile.TemporaryDirectory() as tmp_dir:
             path = self._assert_same_bytes(panel, tmp_dir)
-            back = read_panel_csv(path, seed=panel.seed)
+            back = read_panel_csv(path)
         assert back.grid == panel.grid
         assert back.values.tobytes() == panel.values.tobytes()
 
@@ -449,8 +449,6 @@ class TestPanelType:
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            TrajectoryPanel(grid=Grid(J=3, T=1.0), n=2, values=np.zeros((2, 3, 2)), seed=0)
+            TrajectoryPanel(grid=Grid(J=3, T=1.0), n=2, values=np.zeros((2, 3, 2)))
         with pytest.raises(ValueError):
-            TrajectoryPanel(
-                grid=Grid(J=1, T=1.0), n=1, values=np.full((1, 2, 2), np.nan), seed=0
-            )
+            TrajectoryPanel(grid=Grid(J=1, T=1.0), n=1, values=np.full((1, 2, 2), np.nan))
