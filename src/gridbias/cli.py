@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import statistics
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -91,11 +92,10 @@ def _swept_params(base: ModelParams, b11: float, b21: float, b12: float) -> Mode
 def cmd_bias_table(cfg: ExperimentConfig, out_dir: Path) -> Path:
     """Closed-form estimand table over beta11 x beta21 x beta12 x J."""
     base = cfg.model.to_params()
-    plan = cfg.plan_star.to_plan(base.horizon)
+    plan = cfg.plan_star.to_plan(base.horizon, "plan_star")
     bt = cfg.bias_table
 
-    def row(b11, b21, b12, j):
-        params = _swept_params(base, b11, b21, b12)
+    def row(params, b11, b21, b12, j):
         tg = theta_g(params, plan, j)
         eta = true_eta(params, plan)
         return (
@@ -109,13 +109,10 @@ def cmd_bias_table(cfg: ExperimentConfig, out_dir: Path) -> Path:
             _fmt(theta_naive_limit(params)),
         )
 
-    rows = [
-        row(b11, b21, b12, int(j))
-        for b11 in bt.beta11
-        for b21 in bt.beta21
-        for b12 in bt.beta12
-        for j in bt.j_values
-    ]
+    rows = []
+    for b11, b21, b12 in itertools.product(bt.beta11, bt.beta21, bt.beta12):
+        params = _swept_params(base, b11, b21, b12)
+        rows.extend(row(params, b11, b21, b12, int(j)) for j in bt.j_values)
     path = out_dir / "bias_table.csv"
     _write_csv(path, BIAS_TABLE_HEADER, rows)
     return path
@@ -124,7 +121,7 @@ def cmd_bias_table(cfg: ExperimentConfig, out_dir: Path) -> Path:
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> tuple[Path, Path]:
     """Observational and counterfactual panels on the same grid."""
     params = cfg.model.to_params()
-    plan = cfg.plan_star.to_plan(params.horizon)
+    plan = cfg.plan_star.to_plan(params.horizon, "plan_star")
     grid = Grid(J=int(cfg.simulate.j), T=params.horizon)
     obs = simulate_panel(params, grid, int(cfg.simulate.n_units), derive_seed(cfg.seed, 0))
     cf = simulate_counterfactual(
@@ -141,8 +138,8 @@ def cmd_zeta(cfg: ExperimentConfig, out_dir: Path) -> tuple[Path, Path]:
     """Sensitivity sweep over (beta12, J) with seed replicates per cell."""
     z = cfg.zeta
     base = cfg.model.to_params()
-    plan_star = cfg.plan_star.to_plan(base.horizon)
-    plan_base = cfg.plan_base.to_plan(base.horizon)
+    plan_star = cfg.plan_star.to_plan(base.horizon, "plan_star")
+    plan_base = cfg.plan_base.to_plan(base.horizon, "plan_base")
     cells_hash = cfg.params_hash()
     cells = [
         (ib, float(b12), ij, int(j), r)

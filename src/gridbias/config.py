@@ -67,7 +67,9 @@ class PlanConfig:
     values: list = field(default_factory=list)
     times: list = field(default_factory=list)
 
-    def to_plan(self, horizon: float) -> TreatmentPlan:
+    def to_plan(self, horizon: float, key: str) -> TreatmentPlan:
+        """The schedule on ``[0, horizon]``; ``key`` (``plan_star`` or
+        ``plan_base``) names this section in error messages."""
         try:
             if self.kind == "constant":
                 return TreatmentPlan.constant(self.value, horizon=horizon)
@@ -76,8 +78,8 @@ class PlanConfig:
             if self.kind == "tabulated":
                 return TreatmentPlan.tabulated(self.times, self.values, horizon=horizon)
         except ValueError as exc:
-            raise ConfigError(f"plan ({self.kind}): {exc}") from exc
-        raise ConfigError(f"plan.kind: unknown kind {self.kind!r}")
+            raise ConfigError(f"{key} ({self.kind}): {exc}") from exc
+        raise ConfigError(f"{key}.kind: unknown kind {self.kind!r}")
 
 
 @dataclass
@@ -129,8 +131,8 @@ class ExperimentConfig:
                 _require_reals(getattr(plan, key), f"{name}.{key}")
         self.model.to_params()
         horizon = float(self.model.horizon)
-        self.plan_star.to_plan(horizon)
-        self.plan_base.to_plan(horizon)
+        self.plan_star.to_plan(horizon, "plan_star")
+        self.plan_base.to_plan(horizon, "plan_base")
         _require_count(self.seed, "seed")
         _require(self.seed >= 0, "seed: must be non-negative")
         _require_count(self.threads, "threads")

@@ -10,7 +10,8 @@ deterministic treatment schedule ``w`` on ``[0, T]``:
   over its pieces.
 * ``theta_g`` -- the iterated-regression functional on an equidistant grid
   of ``J`` steps, driven by the one-step map ``gamma(J) = e^{-beta T/J}``
-  and the schedule sampled at left endpoints ``t_i = i T / J``.
+  and the schedule sampled at left endpoints ``t_i = i T / J``; a
+  closed-form geometric sum over the runs of equal sampled values.
 * ``identification_bias`` -- their difference.
 * ``theta_naive`` -- the outcome-history-only adjustment and its dense-grid
   limit (the factual mean), which does not converge to ``true_eta``.
@@ -107,9 +108,16 @@ class TreatmentPlan:
 
 
 def _exp_weight_integral(lo: float, hi: float, b: float, rate: float) -> float:
-    """``int_lo^hi e^{rate (s - b)} ds`` in a cancellation-safe form."""
+    """``int_lo^hi e^{rate (s - b)} ds`` for ``lo <= hi <= b``, cancellation-safe.
+
+    The integral is anchored at the end where the integrand is largest, so
+    for ``rate > 0`` no factor exceeds ``e^0`` however large ``rate (hi - lo)``.
+    """
     if rate == 0.0:
         return hi - lo
+    if rate > 0.0:
+        # e^{rate(hi-b)} - e^{rate(lo-b)} = e^{rate(hi-b)} * -expm1(-rate*(hi-lo))
+        return math.exp(rate * (hi - b)) * -math.expm1(-rate * (hi - lo)) / rate
     # e^{rate(hi-b)} - e^{rate(lo-b)} = e^{rate(lo-b)} * expm1(rate*(hi-lo))
     return math.exp(rate * (lo - b)) * math.expm1(rate * (hi - lo)) / rate
 
@@ -157,27 +165,68 @@ def _gamma(params, steps_per_horizon: float) -> np.ndarray:
     return matexp(params.beta, -params.horizon / steps_per_horizon)
 
 
+def _sample_runs(plan: TreatmentPlan, horizon: float, J: int) -> list[int]:
+    """Run boundaries of the schedule sampled at ``t_i = i T/J``, ``i < J``.
+
+    Sample ``i`` takes ``plan.values[r]`` for ``bounds[r] <= i < bounds[r+1]``,
+    exactly as :meth:`TreatmentPlan.values_at` reads it at those times: a
+    run starts at the first sample time at or past its jump.  A jump past
+    the last sample time, such as one at the horizon, gives an empty run.
+    """
+    times = np.arange(J) * (horizon / J)
+    return [0, *np.searchsorted(times, plan.jumps, side="left").tolist(), J]
+
+
 def theta_g(params, plan: TreatmentPlan, J: int) -> float:
     """Iterated-regression functional on the equidistant ``J``-step grid.
 
-    Runs the mean recursion ``y_k = g11 y_{k-1} + g12 w(t_{k-1})`` from
-    ``y_0 = E[Y0]``, where ``g = e^{-beta T/J}`` and the schedule is sampled
-    at left endpoints.  The recursion equals
-    ``g11^J E[Y0] + g12 * sum_i w(t_i) g11^{J-i-1}`` without forming the
-    large powers explicitly.  It runs on Python floats, which perform the
-    same IEEE double operations as ``np.float64`` scalars (neither fuses a
-    multiply-add), so the result is bit-identical to ``np.float64``
-    arithmetic at a fraction of the per-step cost.
+    It is the end of the mean recursion ``y_k = g11 y_{k-1} + g12 w(t_{k-1})``
+    from ``y_0 = E[Y0]``, where ``g = e^{-beta T/J}`` and the schedule is
+    sampled at left endpoints, evaluated in closed form over the runs of
+    equal sampled values: run ``r`` of value ``v_r`` covers the samples
+    ``[s_r, e_r)`` and has ``m_r = e_r - s_r`` of them, so
+
+    ``theta_g = g11^J E[Y0] + g12 * sum_r v_r g11^{J-e_r} (1 - g11^{m_r}) / (1 - g11)``.
+
+    The cost is one term per schedule piece, whatever ``J``.  For
+    ``g11 > 0`` the powers are ``exp(n log g11)`` and the geometric factor
+    ``expm1(m log g11) / expm1(log g11)``, which keeps full precision as
+    ``g11 -> 1`` (and is ``m`` at ``g11 == 1``); for ``g11 <= 0`` both are
+    direct powers, since ``1 - g11 >= 1`` leaves nothing to cancel.  The
+    error stays at roundoff of the summed term magnitudes for every ``J``,
+    where a J-step recursion accumulates ``J`` roundings.  Raises
+    ``OverflowError`` when the result exceeds the double range.
     """
     if J < 1:
         raise ValueError("J must be >= 1")
     _require_plan_covers(plan, params.horizon)
     g = _gamma(params, J)
     g11, g12 = float(g[0, 0]), float(g[0, 1])
-    w = plan.values_at(np.arange(J) * (params.horizon / J)).tolist()
-    y = float(params.init_mean[0])
-    for wk in w:
-        y = g11 * y + g12 * wk
+    bounds = _sample_runs(plan, params.horizon, J)
+    if g11 > 0.0:
+        log_g = math.log(g11)
+
+        def power(n: int) -> float:
+            return math.exp(n * log_g)
+
+        def geometric(m: int) -> float:
+            return math.expm1(m * log_g) / math.expm1(log_g) if log_g else float(m)
+
+    else:
+
+        def power(n: int) -> float:
+            return g11**n
+
+        def geometric(m: int) -> float:
+            return (1.0 - g11**m) / (1.0 - g11)
+
+    forced = 0.0
+    for v, start, end in zip(plan.values, bounds, bounds[1:]):
+        if end > start:
+            forced += v * power(J - end) * geometric(end - start)
+    y = power(J) * float(params.init_mean[0]) + g12 * forced
+    if not math.isfinite(y):
+        raise OverflowError(f"theta_g at J={J} exceeds the double range")
     return y
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimands import TreatmentPlan, plan_integral
+from .estimands import TreatmentPlan, _require_plan_covers, plan_integral
 from .linalg2 import expm_series, matexp
 
 __all__ = [
@@ -250,8 +250,7 @@ def simulate_counterfactual(
     """
     if n < 1:
         raise ValueError("need at least one unit")
-    if plan.horizon < grid.T:
-        raise ValueError("plan is not defined on the whole grid span")
+    _require_plan_covers(plan, grid.T)
     b11 = params.beta[0, 0]
     b12 = params.beta[0, 1]
     delta = grid.step

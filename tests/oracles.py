@@ -3,20 +3,24 @@
 
 The package computes each quantity one way: the transition noise
 covariance from Van Loan's block exponential, the bias by direct
-subtraction ``theta_g - eta``, ``theta_g`` by a recursion on Python floats,
-the panel CSV from one formatted string per unit, and a schedule from one
-``(jumps, values)`` form.  The routes here compute the same numbers (or
-bytes) another way and exist only to cross-check those.
+subtraction ``theta_g - eta``, ``theta_g`` in closed form over the runs of
+equal sampled schedule values, the panel CSV from one formatted string per
+unit, and a schedule from one ``(jumps, values)`` form.  The routes here
+compute the same numbers (or bytes) another way and exist only to
+cross-check those.
 """
 
 import bisect
 import csv
+import decimal
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
 from gridbias import TreatmentPlan, matexp, plan_integral
+from gridbias.estimands import _exp_weight_integral
 from gridbias.sde import PANEL_CSV_HEADER
 
 
@@ -78,9 +82,34 @@ def identification_bias_expanded(params, plan: TreatmentPlan, J: int) -> float:
     )
 
 
+def theta_g_exact(params, plan: TreatmentPlan, J: int) -> tuple[Decimal, float]:
+    """The recursion ``y = g11 y + g12 w(t_k)`` that defines ``theta_g``, run
+    on the same doubles ``g11``, ``g12``, ``w(t_k)`` and ``E[Y0]`` in 60-digit
+    decimal arithmetic, J steps from ``y = E[Y0]``: exact far below double
+    roundoff.  Returns ``(value, scale)``, where
+    ``scale = |g11^J E[Y0]| + |g12| sum_i |w(t_i)| |g11|^{J-1-i}`` is the sum of
+    term magnitudes that roundoff is measured against."""
+    g = matexp(params.beta, -params.horizon / J)
+    g11, g12 = float(g[0, 0]), float(g[0, 1])
+    y0 = float(params.init_mean[0])
+    w = plan.values_at(np.arange(J) * (params.horizon / J)).tolist()
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        d11 = Decimal(g11)
+        forcing = {v: Decimal(g12) * Decimal(v) for v in set(w)}
+        y = Decimal(y0)
+        for v in w:
+            y = d11 * y + forcing[v]
+    magnitude = 0.0
+    for v in w:
+        magnitude = abs(g11) * magnitude + abs(v)
+    return y, abs(g11**J * y0) + abs(g12) * magnitude
+
+
 def theta_g_float64(params, plan: TreatmentPlan, J: int) -> float:
-    """``theta_g`` with the recursion ``y = g11 y + g12 w(t_k)`` run on
-    ``np.float64`` scalars indexed out of NumPy arrays."""
+    """``theta_g`` as the J-step recursion ``y = g11 y + g12 w(t_k)`` run on
+    ``np.float64`` scalars indexed out of NumPy arrays; its roundoff grows
+    with J."""
     g = matexp(params.beta, -params.horizon / J)
     g11, g12 = g[0, 0], g[0, 1]
     w = plan.values_at(np.arange(J) * (params.horizon / J))
@@ -146,17 +175,13 @@ class KindPlan:
 def kind_plan_integral(plan: KindPlan, a: float, b: float, rate: float) -> float:
     """``int_a^b w(s) e^{rate (s - b)} ds``, cut at the kind's own jumps
     (the piecewise breakpoints, the tabulated knots after 0), each piece
-    integrated in closed form and weighted by the schedule at its
-    midpoint."""
+    integrated by the package's per-piece closed form and weighted by the
+    schedule at its midpoint."""
     if a == b:
         return 0.0
     jumps = plan.breakpoints if plan.kind == "piecewise" else plan.times[1:]
     cuts = [a] + [p for p in jumps if a < p < b] + [b]
     total = 0.0
     for lo, hi in zip(cuts, cuts[1:]):
-        if rate == 0.0:
-            weight = hi - lo
-        else:
-            weight = math.exp(rate * (lo - b)) * math.expm1(rate * (hi - lo)) / rate
-        total += plan((lo + hi) / 2.0) * weight
+        total += plan((lo + hi) / 2.0) * _exp_weight_integral(lo, hi, b, rate)
     return total

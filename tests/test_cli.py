@@ -295,6 +295,21 @@ class TestCliExitCodes:
         assert code == 3
         assert "numerical failure: math range error" in capsys.readouterr().err
 
+    def test_large_positive_beta11_is_finite(self, tmp_path):
+        # rate (hi - lo) = 800 in eta's integral, past where e^{800} overflows,
+        # although the integral is about 1/800.
+        b12 = 1.0
+        sweep = {"beta11": [800.0], "beta21": [0.0], "beta12": [b12], "j_values": [2, 64]}
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump({"bias_table": sweep}))
+        out = tmp_path / "o"
+        assert main(["bias-table", "--config", str(cfg), "--out", str(out)]) == 0
+        # E[Y0] = 1, w = 1 on [0, 1]: eta = e^{-800} - b12 (1 - e^{-800}) / 800.
+        want = math.exp(-800.0) - b12 * (1.0 - math.exp(-800.0)) / 800.0
+        for row in read_rows(out / "bias_table.csv"):
+            assert float(row["eta"]) == pytest.approx(want, rel=1e-14, abs=0.0)
+            assert math.isfinite(float(row["theta_g"]))
+
     @pytest.mark.parametrize(
         "plan",
         [
@@ -305,11 +320,19 @@ class TestCliExitCodes:
         ],
     )
     def test_invalid_plan_is_exit_2(self, plan, tmp_path, capsys):
+        for key in ("plan_star", "plan_base"):
+            bad = tmp_path / f"{key}.yaml"
+            bad.write_text(yaml.safe_dump({key: plan}))
+            code = main(["bias-table", "--config", str(bad), "--out", str(tmp_path / "o")])
+            assert code == 2
+            assert f"config error: {key} ({plan['kind']}): " in capsys.readouterr().err
+
+    def test_unknown_plan_kind_names_the_key(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
-        bad.write_text(yaml.safe_dump({"plan_star": plan}))
+        bad.write_text(yaml.safe_dump({"plan_base": {"kind": "spline"}}))
         code = main(["bias-table", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert f"config error: plan ({plan['kind']}): " in capsys.readouterr().err
+        assert "config error: plan_base.kind: unknown kind 'spline'" in capsys.readouterr().err
 
 
 class TestBiasTableCommand:

@@ -1,9 +1,10 @@
 import dataclasses
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gridbias import (
     ModelParams,
@@ -16,11 +17,13 @@ from gridbias import (
     theta_naive_limit,
     true_eta,
 )
+from gridbias.estimands import _sample_runs
 from tests.conftest import make_params
 from tests.oracles import (
     KindPlan,
     identification_bias_expanded,
     kind_plan_integral,
+    theta_g_exact,
     theta_g_float64,
 )
 
@@ -46,6 +49,20 @@ DOUBLING_TABLE = (
     (2048, 0.010478817677597618),
     (4096, 0.0052363360304354956),
 )
+
+# theta_g against the exact recursion, relative to its summed term
+# magnitudes (``tests.oracles.theta_g_exact``).
+THETA_G_RTOL = 1e-14
+# The benchmark's tabulated schedule, with knots off every dyadic grid.
+OFF_GRID_PLAN = TreatmentPlan.tabulated(
+    [0.0, 0.137, 0.42, 0.81], [1.0, 0.3, -0.5, 0.8], horizon=1.0
+)
+
+
+def _theta_g_error(route, params, plan, J) -> tuple[float, float]:
+    """``(|route - exact|, scale)`` for a ``theta_g`` route."""
+    exact, scale = theta_g_exact(params, plan, J)
+    return float(abs(Decimal(route(params, plan, J)) - exact)), scale
 
 
 class TestTreatmentPlan:
@@ -317,7 +334,10 @@ class TestThetaG:
         drift=st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4),
         ey0=st.floats(-2.0, 2.0),
     )
-    def test_python_floats_match_float64_scalar_recursion(self, drift, ey0):
+    # g11 == 1 exactly at every J; g11 < 0 at J = 1 and 2.
+    @example(drift=[0.0, -2.0, 0.0, 0.5], ey0=1.0)
+    @example(drift=[0.0, -5.0, 3.0, 0.0], ey0=1.0)
+    def test_within_roundoff_of_exact_recursion(self, drift, ey0):
         params = ModelParams(
             beta=np.reshape(drift, (2, 2)),
             sigma=np.eye(2),
@@ -332,7 +352,51 @@ class TestThetaG:
         )
         for plan in plans:
             for J in (1, 2, 7, 16384):
-                assert theta_g(params, plan, J) == theta_g_float64(params, plan, J)
+                error, scale = _theta_g_error(theta_g, params, plan, J)
+                assert error <= THETA_G_RTOL * scale
+
+    def test_within_roundoff_on_sweep_grid(self):
+        for b11 in (0.2, 0.5, 1.0, -0.3, 3.0):
+            for b21 in (-3.0, 0.0, 3.0):
+                for b12 in (-2.0, 1.0):
+                    params = make_params(beta12=b12, beta11=b11, beta21=b21)
+                    for J in (2, 64, 4096, 16384):
+                        error, scale = _theta_g_error(theta_g, params, OFF_GRID_PLAN, J)
+                        assert error <= THETA_G_RTOL * scale, (b11, b21, b12, J)
+
+    def test_recursion_misses_the_bound_at_large_j(self):
+        # The J-step recursion accumulates J roundings; the closed form does not.
+        params = make_params(beta12=-2.0, beta11=-0.3, beta21=0.0)
+        error, scale = _theta_g_error(theta_g, params, OFF_GRID_PLAN, 16384)
+        assert error <= THETA_G_RTOL * scale
+        error, scale = _theta_g_error(theta_g_float64, params, OFF_GRID_PLAN, 16384)
+        assert error > THETA_G_RTOL * scale
+
+    @given(
+        case=plans_with_oracle(),
+        J=st.integers(1, 200),
+        on_grid=st.lists(st.integers(1, 199), max_size=4),
+    )
+    def test_sample_runs_reproduce_sampled_values(self, case, J, on_grid):
+        plan = case[0]
+        h = plan.horizon
+        times = np.arange(J) * (h / J)
+        # Also knots exactly on sample times, each piece with its own value.
+        knots = sorted({0.0, *plan.jumps, *(times[k] for k in on_grid if k < J)})
+        for p in (plan, TreatmentPlan.tabulated(knots, range(len(knots)), h)):
+            bounds = _sample_runs(p, h, J)
+            sampled = np.repeat(np.asarray(p.values), np.diff(bounds))
+            assert sampled.tobytes() == p.values_at(times).tobytes()
+
+    @pytest.mark.parametrize(
+        "beta11, beta12, value, J",
+        # g11^J overflows; g11^J is finite but g12 times the run sum is not.
+        [(-800.0, 1.0, 1.0, 2), (0.0, 1e308, 10.0, 1)],
+    )
+    def test_overflow_raises(self, beta11, beta12, value, J):
+        params = make_params(beta11=beta11, beta12=beta12, beta21=0.0)
+        with pytest.raises(OverflowError):
+            theta_g(params, TreatmentPlan.constant(value, horizon=1.0), J)
 
 
 class TestBiasForms:

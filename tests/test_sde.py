@@ -228,6 +228,21 @@ class TestSimulateCounterfactual:
         with pytest.raises(ValueError):
             simulate_counterfactual(ref_params, short_plan, Grid(J=4, T=1.0), 2, seed=1)
 
+    def test_short_plan_fails_alike_everywhere(self, ref_params):
+        from gridbias import theta_g, true_eta
+
+        short_plan = TreatmentPlan.constant(1.0, horizon=0.5)
+        message = "plan domain [0, 0.5] does not cover the study horizon 1.0"
+        calls = (
+            lambda: true_eta(ref_params, short_plan),
+            lambda: theta_g(ref_params, short_plan, 4),
+            lambda: simulate_counterfactual(ref_params, short_plan, Grid(J=4, T=1.0), 2, seed=1),
+        )
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+
     def test_step_variance_zero_drift_limit(self):
         p = make_params(beta11=0.0)
         s2 = p.sigma[0, 0] ** 2 + p.sigma[0, 1] ** 2
