@@ -135,10 +135,12 @@ def plan_integral(plan: TreatmentPlan, a: float, b: float, rate: float) -> float
         raise ValueError("integration bounds outside the plan domain")
     if a == b:
         return 0.0
-    cuts = [a] + [p for p in plan.jumps if a < p < b] + [b]
+    first = bisect.bisect_right(plan.jumps, a)
+    last = bisect.bisect_left(plan.jumps, b)
+    cuts = [a, *plan.jumps[first:last], b]
     total = 0.0
-    for lo, hi in zip(cuts, cuts[1:]):
-        total += plan((lo + hi) / 2.0) * _exp_weight_integral(lo, hi, b, rate)
+    for lo, hi, v in zip(cuts, cuts[1:], plan.values[first:]):
+        total += v * _exp_weight_integral(lo, hi, b, rate)
     return total
 
 

@@ -44,18 +44,14 @@ COLLAPSE_RTOL = 1e-9
 SERIES_TERMS = 25
 
 
-def _as_mat2(m) -> np.ndarray:
-    a = np.asarray(m, dtype=float)
+def _as_mat2(m, name: str = "matrix") -> np.ndarray:
+    """A new float copy of ``m``, checked to be a finite 2x2 matrix."""
+    a = np.array(m, dtype=float)
     if a.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {a.shape}")
+        raise ValueError(f"{name} must be 2x2, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
+        raise ValueError(f"{name} entries must be finite")
     return a
-
-
-def _norm_inf(a: np.ndarray) -> float:
-    """Induced infinity norm (max absolute row sum)."""
-    return float(np.max(np.sum(np.abs(a), axis=1)))
 
 
 @dataclass(frozen=True)
@@ -85,13 +81,18 @@ def eigen2(m) -> EigenPair2:
     ``|lam1 - lam2|`` is below ``COLLAPSE_RTOL * max(1, ||m||_inf)`` are
     collapsed to the repeated root ``tr(m)/2``.
     """
-    a = _as_mat2(m)
-    tr = a[0, 0] + a[1, 1]
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    return _classify(_as_mat2(m))
+
+
+def _classify(a: np.ndarray) -> EigenPair2:
+    """:func:`eigen2` of a matrix :func:`_as_mat2` has already checked."""
+    (p, q), (r, s) = a.tolist()
+    tr = p + s
+    det = p * s - q * r
     disc = tr * tr - 4.0 * det
     # |lam1 - lam2| = sqrt(|disc|) for either sign of the discriminant.
     gap = math.sqrt(abs(disc))
-    if gap < COLLAPSE_RTOL * max(1.0, _norm_inf(a)):
+    if gap < COLLAPSE_RTOL * max(1.0, abs(p) + abs(q), abs(r) + abs(s)):
         lam = 0.5 * tr
         return EigenPair2("repeated", lam, 0.0, lam, 0.0)
     if disc > 0.0:
@@ -128,7 +129,7 @@ def matexp(m, t: float) -> np.ndarray:
     negative ``t`` (the map over a step ``delta`` is ``matexp(beta, -delta)``).
     """
     a = _as_mat2(m)
-    s0, s1 = s0s1(eigen2(a), t)
+    s0, s1 = s0s1(_classify(a), t)
     return s0 * np.eye(2) + s1 * a
 
 
@@ -146,7 +147,7 @@ def expm_series(m, t: float) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     a = a * float(t)
-    norm = _norm_inf(a)
+    norm = float(np.max(np.sum(np.abs(a), axis=1)))  # max absolute row sum
     squarings = math.ceil(math.log2(max(1.0, norm))) + 4
     b = a / (2.0**squarings)
     eye = np.eye(a.shape[0])

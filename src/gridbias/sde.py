@@ -14,8 +14,8 @@ The counterfactual outcome under a deterministic schedule ``w`` solves
 way from its scalar transition law.
 
 Randomness is reproducible: every unit draws from its own stream derived
-from the master seed via ``SeedSequence((seed, replicate, unit))``, so the
-output is independent of unit evaluation order.
+from the master seed via ``SeedSequence((seed, 0, unit))``, so the output is
+independent of unit evaluation order.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimands import TreatmentPlan, _require_plan_covers, plan_integral
-from .linalg2 import expm_series, matexp
+from .linalg2 import _as_mat2, expm_series, matexp
 
 __all__ = [
     "ModelParams",
@@ -63,34 +63,29 @@ class ModelParams:
     horizon: float
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", _checked_mat(self.beta, "beta"))
-        object.__setattr__(self, "sigma", _checked_mat(self.sigma, "sigma"))
+        object.__setattr__(self, "beta", _frozen(_as_mat2(self.beta, "beta")))
+        object.__setattr__(self, "sigma", _frozen(_as_mat2(self.sigma, "sigma")))
         mean = np.array(self.init_mean, dtype=float).reshape(2)
         if not np.all(np.isfinite(mean)):
             raise ValueError("init_mean must be finite")
         object.__setattr__(self, "init_mean", _frozen(mean))
-        cov = _checked_mat(self.init_cov, "init_cov", writeable=True)
-        if np.max(np.abs(cov - cov.T)) > 1e-12:
-            raise ValueError("init_cov must be symmetric (within 1e-12)")
-        if np.min(np.linalg.eigvalsh(cov)) < PSD_EIG_FLOOR:
-            raise ValueError("init_cov must be positive semidefinite")
-        object.__setattr__(self, "init_cov", _frozen(cov))
+        object.__setattr__(self, "init_cov", _checked_cov(self.init_cov, "init_cov"))
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError("horizon must be a positive finite number")
-
-
-def _checked_mat(m, name: str, writeable: bool = False) -> np.ndarray:
-    a = np.array(m, dtype=float)
-    if a.shape != (2, 2):
-        raise ValueError(f"{name} must be 2x2, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} entries must be finite")
-    return a if writeable else _frozen(a)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _checked_cov(m, name: str) -> np.ndarray:
+    cov = _as_mat2(m, name)
+    if np.max(np.abs(cov - cov.T)) > 1e-12:
+        raise ValueError(f"{name} must be symmetric (within 1e-12)")
+    if np.min(np.linalg.eigvalsh(cov)) < PSD_EIG_FLOOR:
+        raise ValueError(f"{name} must be positive semidefinite")
+    return _frozen(cov)
 
 
 @dataclass(frozen=True)
@@ -125,18 +120,19 @@ class TrajectoryPanel:
     """
 
     grid: Grid
-    n: int
     values: np.ndarray
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float)
-        if v.shape != (self.n, self.grid.J + 1, 2):
-            raise ValueError(
-                f"values shape {v.shape} inconsistent with n={self.n}, J={self.grid.J}"
-            )
+        if v.ndim != 3 or v.shape[1:] != (self.grid.J + 1, 2):
+            raise ValueError(f"values shape {v.shape} is not (n, {self.grid.J + 1}, 2)")
         if not np.all(np.isfinite(v)):
             raise ValueError("panel values must be finite")
         object.__setattr__(self, "values", _frozen(v))
+
+    @property
+    def n(self) -> int:
+        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -148,13 +144,8 @@ class TransitionLaw:
     noise_cov: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mean_map", _checked_mat(self.mean_map, "mean_map"))
-        cov = _checked_mat(self.noise_cov, "noise_cov", writeable=True)
-        if np.max(np.abs(cov - cov.T)) > 1e-12:
-            raise ValueError("noise_cov must be symmetric")
-        if np.min(np.linalg.eigvalsh(cov)) < PSD_EIG_FLOOR:
-            raise ValueError("noise_cov must be positive semidefinite")
-        object.__setattr__(self, "noise_cov", _frozen(cov))
+        object.__setattr__(self, "mean_map", _frozen(_as_mat2(self.mean_map, "mean_map")))
+        object.__setattr__(self, "noise_cov", _checked_cov(self.noise_cov, "noise_cov"))
 
 
 def transition_law(params: ModelParams, delta: float) -> TransitionLaw:
@@ -178,16 +169,15 @@ def transition_law(params: ModelParams, delta: float) -> TransitionLaw:
 
 
 def _psd_sqrt(cov: np.ndarray) -> np.ndarray:
-    """Symmetric square root tolerant of (numerically) zero eigenvalues."""
+    """Symmetric square root of a :func:`_checked_cov` covariance, clipped at 0."""
     eigvals, eigvecs = np.linalg.eigh(cov)
-    if eigvals.min() < PSD_EIG_FLOOR:
-        raise ValueError("covariance is not positive semidefinite")
     return (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
 
 
-def unit_stream(seed: int, unit: int, replicate: int = 0) -> np.random.Generator:
-    """Independent per-unit stream keyed on ``(seed, replicate, unit)``."""
-    return np.random.default_rng(np.random.SeedSequence((seed, replicate, unit)))
+def unit_stream(seed: int, unit: int) -> np.random.Generator:
+    """Independent per-unit stream keyed on ``(seed, 0, unit)``."""
+    # The 0 keeps the key, and so the stream, that every panel was drawn from.
+    return np.random.default_rng(np.random.SeedSequence((seed, 0, unit)))
 
 
 def _unit_normals(seed: int, n: int, draws_per_unit: int) -> np.ndarray:
@@ -215,7 +205,7 @@ def simulate_panel(params: ModelParams, grid: Grid, n: int, seed: int) -> Trajec
     values[:, 0, :] = params.init_mean + z[:, 0, :] @ init_sqrt.T
     for k in range(grid.J):
         values[:, k + 1, :] = values[:, k, :] @ law.mean_map.T + z[:, k + 1, :] @ noise_sqrt.T
-    return TrajectoryPanel(grid=grid, n=n, values=values)
+    return TrajectoryPanel(grid=grid, values=values)
 
 
 def counterfactual_step_variance(params: ModelParams, delta: float) -> float:
@@ -270,7 +260,7 @@ def simulate_counterfactual(
     for k in range(grid.J):
         y = decay * y + forcing[k] + noise_sd * z[:, k + 1]
         values[:, k + 1, 0] = y
-    return TrajectoryPanel(grid=grid, n=n, values=values)
+    return TrajectoryPanel(grid=grid, values=values)
 
 
 def subsample_panel(panel: TrajectoryPanel, factor: int) -> TrajectoryPanel:
@@ -284,7 +274,7 @@ def subsample_panel(panel: TrajectoryPanel, factor: int) -> TrajectoryPanel:
     if panel.grid.J % factor != 0:
         raise ValueError(f"factor {factor} does not divide J={panel.grid.J}")
     coarse = Grid(J=panel.grid.J // factor, T=panel.grid.T)
-    return TrajectoryPanel(grid=coarse, n=panel.n, values=panel.values[:, ::factor, :])
+    return TrajectoryPanel(grid=coarse, values=panel.values[:, ::factor, :])
 
 
 def write_panel_csv(panel: TrajectoryPanel, path) -> None:
@@ -322,23 +312,26 @@ def read_panel_csv(path) -> TrajectoryPanel:
         raise ValueError("empty panel CSV")
     if min(min(r[0], r[1]) for r in rows) < 0:
         raise ValueError("panel CSV has a negative unit or step index")
-    n = max(r[0] for r in rows) + 1
-    J = max(r[1] for r in rows)
+    # Check the keys before sizing arrays from them: a stray index allocates nothing.
+    keys = set()
+    for u, k, *_ in rows:
+        if (u, k) in keys:
+            raise ValueError(f"panel CSV repeats the row of unit {u}, step {k}")
+        keys.add((u, k))
+    n = max(u for u, _ in keys) + 1
+    J = max(k for _, k in keys)
+    if len(keys) != n * (J + 1):
+        # The first absent key comes within len(keys) + 1 candidates.
+        u, k = next((u, k) for u in range(n) for k in range(J + 1) if (u, k) not in keys)
+        raise ValueError(f"panel CSV is missing the row of unit {u}, step {k}")
     grid = Grid(J=J, T=max(r[2] for r in rows))
     times = grid.times
-    values = np.zeros((n, J + 1, 2))
-    seen = np.zeros((n, J + 1), dtype=bool)
+    values = np.empty((n, J + 1, 2))
     for u, k, t, y, w in rows:
-        if seen[u, k]:
-            raise ValueError(f"panel CSV repeats the row of unit {u}, step {k}")
         if t != times[k]:
             raise ValueError(
                 f"panel CSV row of unit {u}, step {k} has t={t!r}, "
                 f"grid time is {float(times[k])!r}"
             )
-        seen[u, k] = True
         values[u, k] = y, w
-    if not seen.all():
-        u, k = np.argwhere(~seen)[0]
-        raise ValueError(f"panel CSV is missing the row of unit {u}, step {k}")
-    return TrajectoryPanel(grid=grid, n=n, values=values)
+    return TrajectoryPanel(grid=grid, values=values)

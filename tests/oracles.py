@@ -1,13 +1,13 @@
 """Reference routes for the noise covariance, the identification bias,
-``theta_g``, the panel CSV writer and the treatment schedule.
+``theta_g``, the panel CSV writer, the treatment schedule and its integral.
 
 The package computes each quantity one way: the transition noise
 covariance from Van Loan's block exponential, the bias by direct
 subtraction ``theta_g - eta``, ``theta_g`` in closed form over the runs of
 equal sampled schedule values, the panel CSV from one formatted string per
-unit, and a schedule from one ``(jumps, values)`` form.  The routes here
-compute the same numbers (or bytes) another way and exist only to
-cross-check those.
+unit, a schedule from one ``(jumps, values)`` form, and its integral by
+walking the pieces by index.  The routes here compute the same numbers (or
+bytes) another way and exist only to cross-check those.
 """
 
 import bisect
@@ -170,6 +170,25 @@ class KindPlan:
         else:
             idx = np.searchsorted(self.times, ts, side="right") - 1
         return np.asarray(self.values, dtype=float)[idx]
+
+
+def plan_integral_midpoint(plan: TreatmentPlan, a: float, b: float, rate: float) -> float:
+    """``int_a^b w(s) e^{rate (s - b)} ds`` cut at the jumps inside
+    ``(a, b)``, each piece integrated by the package's per-piece closed form
+    and weighted by ``plan`` called at the piece's midpoint.  That lookup
+    reads the piece's own value whenever the midpoint lands strictly inside
+    it, that is, for every piece wider than two ulps."""
+    if a > b:
+        raise ValueError("integration bounds must satisfy a <= b")
+    if a < 0.0 or b > plan.horizon:
+        raise ValueError("integration bounds outside the plan domain")
+    if a == b:
+        return 0.0
+    cuts = [a] + [p for p in plan.jumps if a < p < b] + [b]
+    total = 0.0
+    for lo, hi in zip(cuts, cuts[1:]):
+        total += plan((lo + hi) / 2.0) * _exp_weight_integral(lo, hi, b, rate)
+    return total
 
 
 def kind_plan_integral(plan: KindPlan, a: float, b: float, rate: float) -> float:

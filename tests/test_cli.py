@@ -1,5 +1,6 @@
 import copy
 import csv
+import hashlib
 import io
 import math
 import os
@@ -47,6 +48,15 @@ SMALL_CONFIG = {
     "threads": 1,
 }
 
+# sha256 of each CSV the three commands write for SMALL_CONFIG.  A change
+# that moves an output byte on purpose updates the digest and says so.
+SMALL_CONFIG_DIGESTS = {
+    "bias_table.csv": "ab60febb35b0a2b98bca04d3981067b0f2d0184d55278db38a9437a59c157403",
+    "counterfactual.csv": "dfab07f7a3ac763a5a1da8355b9857ccdb87d190e18ed2e794d72cdc0d68d887",
+    "observational.csv": "b369eec81dbe43ffb403c7792fdb8cdc90a4997abd050ae6a6f7bef35d3620b9",
+    "zeta_cells.csv": "4148b711ed52f995aee6ccce68947049849673315c3c3225a45f60e1650cca64",
+    "zeta_summary.csv": "e38330b0bb3391921eca947ee3ef7773f97a5971ed8740f1f8281b3ad3b0fca4",
+}
 
 # SMALL_CONFIG with a model section and plans whose list fields are not
 # empty, so that every typed field below has an entry to corrupt.
@@ -454,3 +464,10 @@ class TestZetaCommand:
             timeout=120,
         )
         assert done.stdout.splitlines()[-1] == "0 False", done.stderr
+
+
+def test_small_config_output_bytes_are_pinned(small_config, tmp_path):
+    for command in ("bias-table", "simulate", "zeta"):
+        assert main([command, "--config", str(small_config), "--out", str(tmp_path)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")}
+    assert got == SMALL_CONFIG_DIGESTS

@@ -23,6 +23,7 @@ from tests.oracles import (
     KindPlan,
     identification_bias_expanded,
     kind_plan_integral,
+    plan_integral_midpoint,
     theta_g_exact,
     theta_g_float64,
 )
@@ -204,7 +205,47 @@ class TestAgainstKindOracle:
             assert _bits(got) == _bits(kind_plan_integral(oracle, lo, hi, rate))
 
 
+@st.composite
+def plans_and_bounds_on_a_grid(draw):
+    """A plan with jumps on multiples of ``horizon/32``, the horizon among
+    them, and bounds ``a <= b`` on multiples of ``horizon/64``: a bound may
+    sit on a jump and ``a`` may equal ``b``.  Every piece is wide, so the
+    midpoint oracle reads each piece's own value."""
+    horizon = draw(st.floats(0.01, 100.0))
+    steps = sorted(draw(st.sets(st.integers(1, 32), max_size=6)))
+    values = draw(st.lists(st.floats(-1e3, 1e3), min_size=len(steps) + 1, max_size=len(steps) + 1))
+    plan = TreatmentPlan(horizon, tuple(i * horizon / 32 for i in steps), tuple(values))
+    a, b = sorted(draw(st.lists(st.integers(0, 64), min_size=2, max_size=2)))
+    return plan, a * horizon / 64, b * horizon / 64
+
+
+class TestPlanIntegralAgainstMidpointOracle:
+    """Walking the pieces by index against the midpoint lookup it replaced:
+    the same double, bit for bit."""
+
+    @given(
+        case=plans_and_bounds_on_a_grid(),
+        rate=st.sampled_from([0.0, -2.5, 2.5, 800.0]) | st.floats(-5.0, 5.0),
+    )
+    @example(case=(TreatmentPlan(1.0, (0.5, 1.0), (1.0, 2.0, 7.0)), 0.5, 0.5), rate=0.3)
+    @example(case=(TreatmentPlan(1.0, (0.25, 0.5), (1.0, -2.0, 3.0)), 0.25, 0.5), rate=-1.5)
+    @example(case=(TreatmentPlan(2.0, (0.5, 2.0), (1.0, 2.0, 7.0)), 0.0, 2.0), rate=800.0)
+    @example(case=(TreatmentPlan(2.0, (0.5, 2.0), (1.0, 2.0, 7.0)), 0.5, 2.0), rate=0.0)
+    def test_matches_bit_for_bit(self, case, rate):
+        plan, a, b = case
+        assert _bits(plan_integral(plan, a, b, rate)) == _bits(
+            plan_integral_midpoint(plan, a, b, rate)
+        )
+
+
 class TestPlanIntegral:
+    def test_piece_one_ulp_wide_carries_its_own_value(self):
+        # The midpoint of [nextafter(0.5, 0), 0.5] rounds to the jump, where
+        # a midpoint lookup would read the next piece's value.
+        plan = TreatmentPlan.piecewise([0.5], [1.0, 0.0], horizon=1.0)
+        a = math.nextafter(0.5, 0.0)
+        assert plan_integral(plan, a, 1.0, 0.0) == 0.5 - a
+
     def test_constant_rate_zero(self):
         plan = TreatmentPlan.constant(3.0, horizon=2.0)
         assert plan_integral(plan, 0.0, 2.0, 0.0) == pytest.approx(6.0, abs=1e-14)

@@ -38,7 +38,7 @@ def synthetic_panel(a, b, c, n=6, J=5, seed=0, noise=0.0):
             + c * values[:, k, 1]
             + noise * rng.standard_normal(n)
         )
-    return TrajectoryPanel(grid=Grid(J=J, T=1.0), n=n, values=values)
+    return TrajectoryPanel(grid=Grid(J=J, T=1.0), values=values)
 
 
 def partly_constant_treatment_panel(n, varying, J=5, seed=0):
@@ -50,7 +50,7 @@ def partly_constant_treatment_panel(n, varying, J=5, seed=0):
     values[:, :, 0] = rng.standard_normal((n, J + 1))
     values[:, :, 1] = 1.0
     values[n - varying :, :, 1] = rng.uniform(-1, 1, size=(varying, J + 1))
-    return TrajectoryPanel(grid=Grid(J=J, T=1.0), n=n, values=values)
+    return TrajectoryPanel(grid=Grid(J=J, T=1.0), values=values)
 
 
 def residual_variance(values, coef):
@@ -176,7 +176,7 @@ class TestBootstrapCi:
     def test_degenerate_panel_zero_width_at_estimate(self, ref_params, plan_one, plan_zero):
         one = simulate_panel(ref_params, Grid(J=8, T=1.0), 1, seed=19)
         values = np.tile(one.values, (30, 1, 1))
-        clones = TrajectoryPanel(grid=one.grid, n=30, values=values)
+        clones = TrajectoryPanel(grid=one.grid, values=values)
         tau = estimate_contrast(clones, plan_one, plan_zero).tau_hat
         lo, hi = bootstrap_ci(clones, plan_one, plan_zero, 50, 0.05, seed=1)
         assert lo == hi == tau
@@ -193,7 +193,7 @@ class TestBootstrapCi:
         values = np.empty((10, 6, 2))
         values[:, :, 0] = rng.standard_normal((10, 6))
         values[:, :, 1] = 1.0
-        panel = TrajectoryPanel(grid=Grid(J=5, T=1.0), n=10, values=values)
+        panel = TrajectoryPanel(grid=Grid(J=5, T=1.0), values=values)
         with pytest.raises(BootstrapFailureError):
             bootstrap_ci(panel, plan_one, plan_zero, 20, 0.05, seed=3)
 

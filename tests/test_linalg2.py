@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gridbias import EigenPair2, eigen2, expm_series, matexp, s0s1
+from gridbias import EigenPair2, eigen2, expm_series, linalg2, matexp, s0s1
 
 # Reference values computed once with a 40-digit arbitrary-precision
 # evaluation of the defining formulas (characteristic quadratic, scalar
@@ -144,6 +144,19 @@ class TestMatexp:
         a = matexp(m, t)
         b = expm_series(m, t)
         np.testing.assert_allclose(a, b, rtol=1e-11, atol=1e-11)
+
+    def test_checks_its_argument_once(self, monkeypatch):
+        want = matexp(FIG_BETA, -0.25)
+        as_mat2 = linalg2._as_mat2
+        calls = []
+
+        def counted(m, name="matrix"):
+            calls.append(name)
+            return as_mat2(m, name)
+
+        monkeypatch.setattr(linalg2, "_as_mat2", counted)
+        assert matexp(FIG_BETA, -0.25).tobytes() == want.tobytes()
+        assert calls == ["matrix"]
 
 
 class TestMatexpOracle:

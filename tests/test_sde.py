@@ -1,5 +1,7 @@
 import math
 import tempfile
+import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,9 @@ from gridbias import (
     Grid,
     ModelParams,
     TrajectoryPanel,
+    TransitionLaw,
     TreatmentPlan,
+    eigen2,
     expm_series,
     matexp,
     read_panel_csv,
@@ -21,7 +25,7 @@ from gridbias import (
     write_panel_csv,
 )
 from gridbias.sde import counterfactual_step_variance
-from tests.conftest import REF_SIGMA, make_params
+from tests.conftest import REF_BETA, REF_COV, REF_MEAN, REF_SIGMA, make_params
 from tests.oracles import cov_kronecker, cov_simpson, write_panel_csv_rowwise
 
 # Step-0.1 noise covariance of the reference drift/diffusion, from 40-digit
@@ -394,6 +398,22 @@ class TestPanelCsv:
         with pytest.raises(ValueError, match="t=0.3, grid time is 0.25"):
             read_panel_csv(path)
 
+    @pytest.mark.parametrize(
+        "stray, missing",
+        [("2000000,0,0.0,1.0,0.0", "unit 1, step 0"), ("0,2000000,1.0,1.0,0.0", "unit 0, step 2")],
+    )
+    def test_stray_large_index_fails_before_allocating_its_grid(self, stray, missing, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_text(f"unit,k,t,Y,W\n0,0,0.0,1.0,0.0\n0,1,1.0,1.0,0.0\n{stray}\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"missing the row of {missing}"):
+                read_panel_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
+
     def test_values_are_shortest_round_trip_decimals(self, ref_params, tmp_path):
         panel = simulate_panel(ref_params, Grid(J=2, T=1.0), 2, seed=4)
         path = tmp_path / "panel.csv"
@@ -414,7 +434,51 @@ def panels(draw):
     size = 2 * n * (J + 1)
     finite = st.floats(allow_nan=False, allow_infinity=False)
     values = np.array(draw(st.lists(finite, min_size=size, max_size=size))).reshape(n, J + 1, 2)
-    return TrajectoryPanel(grid=Grid(J=J, T=T), n=n, values=values)
+    return TrajectoryPanel(grid=Grid(J=J, T=T), values=values)
+
+
+class TestPanelCsvCorruption:
+    """One structural corruption of a written panel CSV is a ``ValueError``,
+    never another exception type."""
+
+    @given(
+        # Two units or more, so a step-J time moved by one ulp still
+        # disagrees with another unit's horizon.
+        panel=panels().filter(lambda p: p.n >= 2),
+        mutation=st.sampled_from(
+            ["drop row", "repeat row", "index -1", "index past end", "t one ulp",
+             "drop field", "text field", "nan field", "inf field"]
+        ),
+        data=st.data(),
+    )
+    def test_structural_corruption_is_a_value_error(self, panel, mutation, data):
+        with tempfile.TemporaryDirectory() as tmp_dir:
+            path = Path(tmp_dir) / "panel.csv"
+            write_panel_csv(panel, path)
+            header, *rows = path.read_text().splitlines()
+            i = data.draw(st.integers(0, len(rows) - 1), label="row")
+            fields = rows[i].split(",")
+            if mutation == "drop row":
+                del rows[i]
+            elif mutation == "repeat row":
+                rows.insert(data.draw(st.integers(0, len(rows)), label="at"), rows[i])
+            elif mutation in ("index -1", "index past end"):
+                col = data.draw(st.sampled_from([0, 1]), label="index")
+                past_end = panel.n if col == 0 else panel.grid.J + 1
+                fields[col] = "-1" if mutation == "index -1" else str(past_end)
+            elif mutation == "t one ulp":
+                toward = data.draw(st.sampled_from([-math.inf, math.inf]), label="toward")
+                fields[2] = repr(math.nextafter(float(fields[2]), toward))
+            elif mutation == "drop field":
+                del fields[data.draw(st.integers(0, 4), label="field")]
+            else:
+                text = {"text field": "abc", "nan field": "nan", "inf field": "inf"}[mutation]
+                fields[data.draw(st.integers(0, 4), label="field")] = text
+            if mutation not in ("drop row", "repeat row"):
+                rows[i] = ",".join(fields)
+            path.write_text("\n".join([header, *rows]) + "\n")
+            with pytest.raises(ValueError):
+                read_panel_csv(path)
 
 
 class TestPanelCsvBytes:
@@ -437,7 +501,7 @@ class TestPanelCsvBytes:
         values = np.array(
             [-0.0, 5e-324, 1e300, 1e-7, -1e-7, 1e16, -5e-324, 0.1, 0.0, -1e300, 2.5e-5, 1e22]
         ).reshape(2, 3, 2)
-        panel = TrajectoryPanel(grid=Grid(J=2, T=3.0), n=2, values=values)
+        panel = TrajectoryPanel(grid=Grid(J=2, T=3.0), values=values)
         path = self._assert_same_bytes(panel, tmp_path)
         assert path.read_text().splitlines()[1] == "0,0,0.0,-0.0,5e-324"
 
@@ -464,6 +528,69 @@ class TestPanelType:
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            TrajectoryPanel(grid=Grid(J=3, T=1.0), n=2, values=np.zeros((2, 3, 2)))
+            TrajectoryPanel(grid=Grid(J=3, T=1.0), values=np.zeros((2, 3, 2)))
         with pytest.raises(ValueError):
-            TrajectoryPanel(grid=Grid(J=1, T=1.0), n=1, values=np.full((1, 2, 2), np.nan))
+            TrajectoryPanel(grid=Grid(J=1, T=1.0), values=np.full((1, 2, 2), np.nan))
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 4, 2, 1), (2, 4, 3)])
+    def test_values_must_be_units_by_steps_by_two(self, shape):
+        with pytest.raises(ValueError, match=r"is not \(n, 4, 2\)"):
+            TrajectoryPanel(grid=Grid(J=3, T=1.0), values=np.zeros(shape))
+
+    def test_unit_count_is_derived_from_values(self):
+        panel = TrajectoryPanel(grid=Grid(J=3, T=1.0), values=np.zeros((5, 4, 2)))
+        assert panel.n == 5
+        assert subsample_panel(panel, 3).n == 5
+
+
+# Each validated 2x2 field, and how to build a value with that field set to
+# ``bad``; ``matexp`` and ``eigen2`` name their argument "matrix".
+def _model_params(field, bad):
+    fields = dict(beta=REF_BETA, sigma=REF_SIGMA, init_mean=REF_MEAN, init_cov=REF_COV)
+    return ModelParams(**{**fields, field: bad}, horizon=1.0)
+
+
+def _transition_law(field, bad):
+    return TransitionLaw(**{"mean_map": np.eye(2), "noise_cov": np.eye(2), field: bad})
+
+
+BUILDERS = {
+    "beta": partial(_model_params, "beta"),
+    "sigma": partial(_model_params, "sigma"),
+    "init_cov": partial(_model_params, "init_cov"),
+    "mean_map": partial(_transition_law, "mean_map"),
+    "noise_cov": partial(_transition_law, "noise_cov"),
+    "matexp": lambda bad: matexp(bad, 0.5),
+    "eigen2": eigen2,
+}
+BAD_MATRICES = {
+    "wrong shape": (np.zeros((2, 3)), r"must be 2x2, got shape \(2, 3\)"),
+    "nan entry": ([[1.0, 0.0], [0.0, math.nan]], "entries must be finite"),
+    "inf entry": ([[1.0, math.inf], [math.inf, 1.0]], "entries must be finite"),
+}
+BAD_COVARIANCES = {
+    "asymmetric": ([[1.0, 0.5], [0.0, 1.0]], "must be symmetric"),
+    "indefinite": ([[1.0, 2.0], [2.0, 1.0]], "must be positive semidefinite"),
+}
+BAD_FIELD_CASES = [(f, b) for f in BUILDERS for b in BAD_MATRICES] + [
+    (f, b) for f in ("init_cov", "noise_cov") for b in BAD_COVARIANCES
+]
+
+
+@pytest.mark.parametrize("field, case", BAD_FIELD_CASES)
+def test_bad_field_is_rejected_by_name(field, case):
+    bad, message = {**BAD_MATRICES, **BAD_COVARIANCES}[case]
+    name = "matrix" if field in ("matexp", "eigen2") else field
+    with pytest.raises(ValueError, match=f"^{name} {message}"):
+        BUILDERS[field](bad)
+
+
+def test_validated_fields_are_frozen_copies():
+    beta = REF_BETA.copy()
+    params = _model_params("beta", beta)
+    beta[0, 0] = 99.0
+    assert params.beta[0, 0] == REF_BETA[0, 0]
+    assert beta.flags.writeable
+    law = transition_law(params, 0.1)
+    for a in (params.beta, params.sigma, params.init_cov, law.mean_map, law.noise_cov):
+        assert not a.flags.writeable
