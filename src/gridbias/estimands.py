@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg2 import matexp
+from .linalg2 import _expm2
 
 __all__ = [
     "TreatmentPlan",
@@ -163,8 +163,9 @@ def true_eta(params, plan: TreatmentPlan) -> float:
 
 
 def _gamma(params, steps_per_horizon: float) -> np.ndarray:
-    """One-step transition map ``e^{-beta T/k}`` for ``k`` steps per horizon."""
-    return matexp(params.beta, -params.horizon / steps_per_horizon)
+    """One-step transition map ``e^{-beta T/k}`` for ``k`` steps per horizon;
+    ``ModelParams`` has already checked ``beta``."""
+    return _expm2(params.beta, -params.horizon / steps_per_horizon)
 
 
 def _sample_runs(plan: TreatmentPlan, horizon: float, J: int) -> list[int]:
@@ -174,9 +175,25 @@ def _sample_runs(plan: TreatmentPlan, horizon: float, J: int) -> list[int]:
     exactly as :meth:`TreatmentPlan.values_at` reads it at those times: a
     run starts at the first sample time at or past its jump.  A jump past
     the last sample time, such as one at the horizon, gives an empty run.
+
+    Each bound costs O(1), whatever ``J``: the estimate ``ceil(x / step)``
+    is moved to the first ``i`` whose sample time ``i * step``, the same
+    float product that ``np.arange(J) * step`` forms, is at or past the
+    jump ``x``.  Only roundoff separates the two, so each loop below runs
+    at most a step or two.
     """
-    times = np.arange(J) * (horizon / J)
-    return [0, *np.searchsorted(times, plan.jumps, side="left").tolist(), J]
+    step = horizon / J
+    bounds = [0]
+    for x in plan.jumps:
+        q = x / step  # may overflow to inf for a jump far past the horizon
+        i = J if q >= J else math.ceil(q)
+        while i > 0 and (i - 1) * step >= x:
+            i -= 1
+        while i < J and i * step < x:
+            i += 1
+        bounds.append(i)
+    bounds.append(J)
+    return bounds
 
 
 def theta_g(params, plan: TreatmentPlan, J: int) -> float:
@@ -190,14 +207,16 @@ def theta_g(params, plan: TreatmentPlan, J: int) -> float:
 
     ``theta_g = g11^J E[Y0] + g12 * sum_r v_r g11^{J-e_r} (1 - g11^{m_r}) / (1 - g11)``.
 
-    The cost is one term per schedule piece, whatever ``J``.  For
-    ``g11 > 0`` the powers are ``exp(n log g11)`` and the geometric factor
-    ``expm1(m log g11) / expm1(log g11)``, which keeps full precision as
-    ``g11 -> 1`` (and is ``m`` at ``g11 == 1``); for ``g11 <= 0`` both are
-    direct powers, since ``1 - g11 >= 1`` leaves nothing to cancel.  The
-    error stays at roundoff of the summed term magnitudes for every ``J``,
-    where a J-step recursion accumulates ``J`` roundings.  Raises
-    ``OverflowError`` when the result exceeds the double range.
+    The cost is one term per schedule piece, whatever ``J``: the run bounds
+    come from :func:`_sample_runs` in O(1) each, and no J-sized array is
+    built.  For ``g11 > 0`` the powers are ``exp(n log g11)`` and the
+    geometric factor ``expm1(m log g11) / expm1(log g11)``, which keeps full
+    precision as ``g11 -> 1`` (and is ``m`` at ``g11 == 1``); for
+    ``g11 <= 0`` both are direct powers, since ``1 - g11 >= 1`` leaves
+    nothing to cancel.  The error stays at roundoff of the summed term
+    magnitudes for every ``J``, where a J-step recursion accumulates ``J``
+    roundings.  Raises ``OverflowError`` when the result exceeds the double
+    range.
     """
     if J < 1:
         raise ValueError("J must be >= 1")
@@ -265,7 +284,7 @@ def theta_naive(params, plan: TreatmentPlan, J: int) -> tuple[float, float]:
     _require_plan_covers(plan, params.horizon)
     ey0, ew0 = params.init_mean[0], params.init_mean[1]
     g = _gamma(params, J)
-    g_prev = matexp(params.beta, -params.horizon * (J - 1) / J)
+    g_prev = _expm2(params.beta, -params.horizon * (J - 1) / J)
     w_last = plan(params.horizon * (J - 1) / J)
     theta_j = g[0, 1] * w_last + g[0, 0] * (g_prev[0, 0] * ey0 + g_prev[0, 1] * ew0)
     return float(theta_j), theta_naive_limit(params)

@@ -12,6 +12,11 @@ For a real 2x2 matrix ``m`` with eigenvalues ``lam1, lam2``, the exponential
 Complex-conjugate pairs ``a +/- ib`` are evaluated in real arithmetic:
 ``s1(t) = e^{a t} sin(b t) / b``, ``s0(t) = e^{a t} (cos(b t) - a sin(b t)/b)``.
 
+The public :func:`eigen2` and :func:`matexp` check their argument once and
+hand it to the internal :func:`_classify` and :func:`_expm2`; callers that
+hold a matrix already checked by :func:`_as_mat2` (such as a frozen
+``ModelParams.beta``) call those directly and skip the check.
+
 :func:`expm_series` is a truncated-Taylor scaling-and-squaring exponential
 of any real square matrix.  It computes the 4x4 block exponential behind
 the transition noise covariance, and, sharing no code with the closed-form
@@ -43,13 +48,16 @@ COLLAPSE_RTOL = 1e-9
 # where the tail beyond 25 terms is below 1e-55, far under roundoff.
 SERIES_TERMS = 25
 
+_EYE2 = np.eye(2)
+_EYE2.setflags(write=False)
+
 
 def _as_mat2(m, name: str = "matrix") -> np.ndarray:
     """A new float copy of ``m``, checked to be a finite 2x2 matrix."""
     a = np.array(m, dtype=float)
     if a.shape != (2, 2):
         raise ValueError(f"{name} must be 2x2, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} entries must be finite")
     return a
 
@@ -128,9 +136,13 @@ def matexp(m, t: float) -> np.ndarray:
     Callers that need the one-step transition map of a drift matrix pass a
     negative ``t`` (the map over a step ``delta`` is ``matexp(beta, -delta)``).
     """
-    a = _as_mat2(m)
+    return _expm2(_as_mat2(m), t)
+
+
+def _expm2(a: np.ndarray, t: float) -> np.ndarray:
+    """:func:`matexp` of a matrix :func:`_as_mat2` has already checked."""
     s0, s1 = s0s1(_classify(a), t)
-    return s0 * np.eye(2) + s1 * a
+    return s0 * _EYE2 + s1 * a
 
 
 def expm_series(m, t: float) -> np.ndarray:

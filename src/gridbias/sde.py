@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimands import TreatmentPlan, _require_plan_covers, plan_integral
-from .linalg2 import _as_mat2, expm_series, matexp
+from .linalg2 import _as_mat2, _expm2, expm_series
 
 __all__ = [
     "ModelParams",
@@ -65,7 +65,9 @@ class ModelParams:
     def __post_init__(self):
         object.__setattr__(self, "beta", _frozen(_as_mat2(self.beta, "beta")))
         object.__setattr__(self, "sigma", _frozen(_as_mat2(self.sigma, "sigma")))
-        mean = np.array(self.init_mean, dtype=float).reshape(2)
+        mean = np.array(self.init_mean, dtype=float).reshape(-1)
+        if mean.size != 2:
+            raise ValueError(f"init_mean must have 2 entries, got {mean.size}")
         if not np.all(np.isfinite(mean)):
             raise ValueError("init_mean must be finite")
         object.__setattr__(self, "init_mean", _frozen(mean))
@@ -165,7 +167,7 @@ def transition_law(params: ModelParams, delta: float) -> TransitionLaw:
     f = expm_series(block, delta)
     cov = f[2:, 2:].T @ f[:2, 2:]
     cov = 0.5 * (cov + cov.T)
-    return TransitionLaw(mean_map=matexp(params.beta, -delta), noise_cov=cov)
+    return TransitionLaw(mean_map=_expm2(params.beta, -delta), noise_cov=cov)
 
 
 def _psd_sqrt(cov: np.ndarray) -> np.ndarray:

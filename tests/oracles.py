@@ -4,9 +4,9 @@
 The package computes each quantity one way: the transition noise
 covariance from Van Loan's block exponential, the bias by direct
 subtraction ``theta_g - eta``, ``theta_g`` in closed form over the runs of
-equal sampled schedule values, the panel CSV from one formatted string per
-unit, a schedule from one ``(jumps, values)`` form, and its integral by
-walking the pieces by index.  The routes here compute the same numbers (or
+equal sampled schedule values, each run bound found in O(1), the panel CSV
+from one formatted string per unit, a schedule from one ``(jumps, values)``
+form, and its integral by walking the pieces by index.  The routes here compute the same numbers (or
 bytes) another way and exist only to cross-check those.
 """
 
@@ -54,6 +54,13 @@ def cov_kronecker(beta, d, delta):
     eye = np.eye(2)
     kron_sum = np.kron(beta, eye) + np.kron(eye, beta)
     return np.linalg.solve(kron_sum, rhs.reshape(4)).reshape(2, 2)
+
+
+def sample_runs_searchsorted(plan: TreatmentPlan, horizon: float, J: int) -> list[int]:
+    """Run bounds of the schedule sampled at ``t_i = i T/J``, ``i < J``, found
+    by binary search of each jump in the whole array of sample times."""
+    times = np.arange(J) * (horizon / J)
+    return [0, *np.searchsorted(times, plan.jumps, side="left").tolist(), J]
 
 
 def identification_bias_expanded(params, plan: TreatmentPlan, J: int) -> float:

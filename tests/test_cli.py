@@ -58,6 +58,24 @@ SMALL_CONFIG_DIGESTS = {
     "zeta_summary.csv": "e38330b0bb3391921eca947ee3ef7773f97a5971ed8740f1f8281b3ad3b0fca4",
 }
 
+# A bias table of a tabulated plan whose knots fall off every grid (0.137,
+# 0.42, 0.81), on every even grid (0.5) and at the horizon, over J values up
+# to 16384 and drifts with b12 = 0; its bytes are pinned the same way.
+TABULATED_CONFIG = {
+    "plan_star": {
+        "kind": "tabulated",
+        "times": [0.0, 0.137, 0.42, 0.5, 0.81, 1.0],
+        "values": [1.0, 0.3, -0.5, 2.0, 0.8, -1.5],
+    },
+    "bias_table": {
+        "beta11": [0.2, -0.3, 1.0],
+        "beta21": [-3.0, 0.0],
+        "beta12": [-2.0, 0.0, 1.5],
+        "j_values": [1, 2, 3, 7, 10, 64, 100, 1000, 4096, 16384],
+    },
+}
+TABULATED_BIAS_TABLE_DIGEST = "f3b7e5e699158a3d29581590a722a447b6afe1af0f13bd88007666dae9a93b67"
+
 # SMALL_CONFIG with a model section and plans whose list fields are not
 # empty, so that every typed field below has an entry to corrupt.
 TYPED_CONFIG = {
@@ -337,6 +355,14 @@ class TestCliExitCodes:
             assert code == 2
             assert f"config error: {key} ({plan['kind']}): " in capsys.readouterr().err
 
+    def test_init_mean_of_wrong_length_is_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump({"model": {"init_mean": [1.0, 0.0, 2.0]}}))
+        code = main(["bias-table", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: model: init_mean must have 2 entries, got 3" in err
+
     def test_unknown_plan_kind_names_the_key(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text(yaml.safe_dump({"plan_base": {"kind": "spline"}}))
@@ -471,3 +497,11 @@ def test_small_config_output_bytes_are_pinned(small_config, tmp_path):
         assert main([command, "--config", str(small_config), "--out", str(tmp_path)]) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")}
     assert got == SMALL_CONFIG_DIGESTS
+
+
+def test_tabulated_bias_table_bytes_are_pinned(tmp_path):
+    config = tmp_path / "tabulated.yaml"
+    config.write_text(yaml.safe_dump(TABULATED_CONFIG))
+    assert main(["bias-table", "--config", str(config), "--out", str(tmp_path)]) == 0
+    got = hashlib.sha256((tmp_path / "bias_table.csv").read_bytes()).hexdigest()
+    assert got == TABULATED_BIAS_TABLE_DIGEST

@@ -24,6 +24,7 @@ from tests.oracles import (
     identification_bias_expanded,
     kind_plan_integral,
     plan_integral_midpoint,
+    sample_runs_searchsorted,
     theta_g_exact,
     theta_g_float64,
 )
@@ -58,6 +59,8 @@ THETA_G_RTOL = 1e-14
 OFF_GRID_PLAN = TreatmentPlan.tabulated(
     [0.0, 0.137, 0.42, 0.81], [1.0, 0.3, -0.5, 0.8], horizon=1.0
 )
+# A schedule without jumps on a unit horizon, for knots that a test adds.
+UNIT_PLAN = TreatmentPlan.constant(1.0, horizon=1.0)
 
 
 def _theta_g_error(route, params, plan, J) -> tuple[float, float]:
@@ -415,19 +418,39 @@ class TestThetaG:
 
     @given(
         case=plans_with_oracle(),
-        J=st.integers(1, 200),
-        on_grid=st.lists(st.integers(1, 199), max_size=4),
+        J=st.integers(1, 2**14),
+        on_grid=st.lists(st.integers(1, 2**14 - 1), max_size=4),
+        near_grid=st.lists(
+            st.tuples(st.integers(1, 2**14 - 1), st.integers(-2, 2)), max_size=4
+        ),
     )
-    def test_sample_runs_reproduce_sampled_values(self, case, J, on_grid):
+    # 3 * (1/5) / (1/5) rounds above 3, and (5 * (1/7) + 1 ulp) / (1/7)
+    # rounds to 5, so the first estimate of each bound is one off.
+    @example(case=(UNIT_PLAN, None), J=5, on_grid=[3], near_grid=[])
+    @example(case=(UNIT_PLAN, None), J=7, on_grid=[], near_grid=[(5, 1)])
+    @example(case=(UNIT_PLAN, None), J=2**14, on_grid=[1, 8191], near_grid=[])
+    def test_sample_runs_reproduce_sampled_values(self, case, J, on_grid, near_grid):
         plan = case[0]
         h = plan.horizon
         times = np.arange(J) * (h / J)
-        # Also knots exactly on sample times, each piece with its own value.
-        knots = sorted({0.0, *plan.jumps, *(times[k] for k in on_grid if k < J)})
+        # Also knots exactly on sample times, a few ulps either side of one,
+        # and at the horizon, each piece with its own value.
+        knots = {0.0, h, *plan.jumps, *(times[k] for k in on_grid if k < J)}
+        for k, ulps in near_grid:
+            if k < J:
+                knots.add(float(times[k] + ulps * np.spacing(times[k])))
+        knots = sorted(knots)
         for p in (plan, TreatmentPlan.tabulated(knots, range(len(knots)), h)):
             bounds = _sample_runs(p, h, J)
+            assert bounds == sample_runs_searchsorted(p, h, J)
             sampled = np.repeat(np.asarray(p.values), np.diff(bounds))
             assert sampled.tobytes() == p.values_at(times).tobytes()
+
+    def test_sample_runs_past_a_tiny_horizon(self):
+        # A plan far longer than the study horizon puts its jumps past the
+        # last sample time, where jump / step overflows to inf.
+        plan = TreatmentPlan.piecewise([1e-300, 1e10], [1.0, 2.0, 3.0], horizon=1e300)
+        assert _sample_runs(plan, 1e-300, 16384) == sample_runs_searchsorted(plan, 1e-300, 16384)
 
     @pytest.mark.parametrize(
         "beta11, beta12, value, J",

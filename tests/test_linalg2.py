@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gridbias import EigenPair2, eigen2, expm_series, linalg2, matexp, s0s1
 
@@ -157,6 +157,23 @@ class TestMatexp:
         monkeypatch.setattr(linalg2, "_as_mat2", counted)
         assert matexp(FIG_BETA, -0.25).tobytes() == want.tobytes()
         assert calls == ["matrix"]
+
+    # Entries that are often exactly +/-0, so that a triangular drift such as
+    # b12 = 0 puts a signed zero off the diagonal of the exponential.
+    @given(
+        st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-5, 5), min_size=4, max_size=4),
+        st.sampled_from([0.0, -0.0]) | st.floats(-2, 2),
+    )
+    @example([0.2, 0.0, -3.0, 0.5], -0.25)
+    @example([0.2, -0.0, 3.0, 0.5], -0.25)
+    @example([-1.0, 0.0, 0.0, -1.0], 0.5)
+    def test_both_routes_give_the_same_bits(self, entries, t):
+        # Both equal s0 I + s1 m, formed as the full 2x2 sum, to the bit.
+        m = np.array(entries).reshape(2, 2)
+        s0, s1 = s0s1(eigen2(m), t)
+        want = s0 * np.eye(2) + s1 * m
+        assert matexp(m, t).tobytes() == want.tobytes()
+        assert linalg2._expm2(linalg2._as_mat2(m), t).tobytes() == want.tobytes()
 
 
 class TestMatexpOracle:
