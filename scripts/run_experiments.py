@@ -9,9 +9,7 @@ Equivalent to invoking the CLI three times:
 
 The zeta sweep is the expensive part (6 beta12 values x 5 grids x 20
 replicates with 500 bootstrap refits each).  On a 2-core Intel Xeon with
-Python 3.11 and numpy 2.4 the whole battery took 7-9 s on one worker.
-``--threads`` (the zeta sweep's worker pool) is passed on only when given;
-a second worker made the zeta sweep slower on that machine.
+Python 3.11 and numpy 2.4 the whole battery took 7-9 s.
 """
 
 import argparse
@@ -28,11 +26,8 @@ def run(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", default=str(REPO_ROOT / "configs" / "default.yaml"))
     parser.add_argument("--out", default=str(REPO_ROOT / "results"))
-    parser.add_argument("--threads", type=int, help="zeta worker pool size (default: the config's)")
     args = parser.parse_args(argv)
     flags = ["--config", args.config, "--out", args.out]
-    if args.threads is not None:
-        flags += ["--threads", str(args.threads)]
 
     for command in ("bias-table", "simulate", "zeta"):
         print(f"== {command}")

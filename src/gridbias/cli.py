@@ -12,10 +12,11 @@ flag values override the config file, which overrides built-in defaults):
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 
-``--threads`` sizes the worker pool of the ``zeta`` sweep; the other two
-commands run in one thread.  Every ``zeta`` cell derives its own seed from
-the master seed and the cell's position in the sweep, so outputs are
-byte-identical for any thread count.
+Every command runs in the calling thread.  ``--threads`` and the config's
+``threads`` are still accepted and validated, so existing command lines and
+config files keep working, but they have no effect.  Every ``zeta`` cell
+derives its own seed from the master seed and the cell's position in the
+sweep.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import csv
 import itertools
 import statistics
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -141,50 +141,34 @@ def cmd_zeta(cfg: ExperimentConfig, out_dir: Path) -> tuple[Path, Path]:
     plan_star = cfg.plan_star.to_plan(base.horizon, "plan_star")
     plan_base = cfg.plan_base.to_plan(base.horizon, "plan_base")
     cells_hash = cfg.params_hash()
-    cells = [
-        (ib, float(b12), ij, int(j), r)
-        for ib, b12 in enumerate(z.beta12)
-        for ij, j in enumerate(z.j_values)
-        for r in range(z.replicates)
-    ]
-
-    def run_cell(cell):
-        ib, b12, ij, j, r = cell
-        seed = derive_seed(cfg.seed, ib, ij, r)
-        params = _swept_params(base, base.beta[0, 0], base.beta[1, 0], b12)
-        panel = simulate_panel(params, Grid(J=j, T=params.horizon), z.n_units, seed)
-        report = zeta(panel, plan_star, plan_base, z.n_boot, z.alpha, seed)
-        return cell, report
-
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        results = list(pool.map(run_cell, cells))
-
     rows = []
-    by_cell: dict[tuple[float, int], list[float]] = {}
-    for (_ib, b12, _ij, j, _r), report in results:
-        zeta_text = ZETA_UNDEFINED if report.zeta is None else _fmt(report.zeta)
-        rows.append(
-            (
-                cells_hash,
-                j,
-                _fmt(b12),
-                _fmt(report.tau_hat),
-                _fmt(report.ci_lower),
-                _fmt(report.ci_upper),
-                _fmt(report.tau_hat_half),
-                zeta_text,
-                report.seed,
-            )
-        )
-        if report.zeta is not None:
-            by_cell.setdefault((b12, j), []).append(report.zeta)
-
     summary_rows = []
-    for b12 in z.beta12:
-        for j in z.j_values:
-            vals = by_cell.get((float(b12), int(j)), [])
-            median = _fmt(statistics.median(vals)) if vals else ZETA_UNDEFINED
-            summary_rows.append((_fmt(b12), int(j), len(vals), median))
+    for ib, b12 in enumerate(z.beta12):
+        params = _swept_params(base, base.beta[0, 0], base.beta[1, 0], b12)
+        for ij, j in enumerate(z.j_values):
+            grid = Grid(J=j, T=params.horizon)
+            zetas = []
+            for r in range(z.replicates):
+                seed = derive_seed(cfg.seed, ib, ij, r)
+                panel = simulate_panel(params, grid, z.n_units, seed)
+                report = zeta(panel, plan_star, plan_base, z.n_boot, z.alpha, seed)
+                rows.append(
+                    (
+                        cells_hash,
+                        j,
+                        _fmt(b12),
+                        _fmt(report.tau_hat),
+                        _fmt(report.ci_lower),
+                        _fmt(report.ci_upper),
+                        _fmt(report.tau_hat_half),
+                        ZETA_UNDEFINED if report.zeta is None else _fmt(report.zeta),
+                        report.seed,
+                    )
+                )
+                if report.zeta is not None:
+                    zetas.append(report.zeta)
+            median = _fmt(statistics.median(zetas)) if zetas else ZETA_UNDEFINED
+            summary_rows.append((_fmt(b12), j, len(zetas), median))
 
     cells_path = out_dir / "zeta_cells.csv"
     summary_path = out_dir / "zeta_summary.csv"
@@ -209,9 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", type=Path, default=None, help="YAML config file")
         cmd.add_argument("--out", type=Path, default=None, help="output directory")
         cmd.add_argument("--seed", type=int, default=None, help="master seed override")
-        cmd.add_argument(
-            "--threads", type=int, default=None, help="worker pool size of the zeta sweep"
-        )
+        cmd.add_argument("--threads", type=int, default=None, help="accepted; has no effect")
     return parser
 
 

@@ -154,6 +154,9 @@ class ExperimentConfig:
         z = self.zeta
         _require_sweep(z.beta12, "zeta.beta12", _is_real, "a finite number")
         _require_sweep(z.j_values, "zeta.j_values", _is_int, "an integer")
+        # The summary has one row per (beta12, J) value pair.
+        _require_distinct(z.beta12, "zeta.beta12")
+        _require_distinct(z.j_values, "zeta.j_values")
         for i, j in enumerate(z.j_values):
             _require(
                 j >= 2 and j % 2 == 0,
@@ -201,7 +204,7 @@ class ExperimentConfig:
     def params_hash(self) -> str:
         """Stable short digest of everything that determines an experiment
         cell's law (used to key CSV rows across runs).  Output location and
-        worker count are excluded: they must not change results."""
+        ``threads``, which has no effect, are excluded."""
         law = {k: v for k, v in self.to_dict().items() if k not in ("out_dir", "threads")}
         payload = repr(sorted(_typed_leaves(law).items())).encode()
         return hashlib.sha256(payload).hexdigest()[:12]
@@ -269,6 +272,12 @@ def _require_sweep(values, key: str, is_valid, kind: str) -> None:
     _require(isinstance(values, list) and values, f"{key}: sweep must be a non-empty list")
     for i, v in enumerate(values):
         _require(is_valid(v), f"{key}[{i}]: must be {kind}, got {v!r}")
+
+
+def _require_distinct(values, key: str) -> None:
+    # Compared by value: -5 repeats -5.0, and 0.0 repeats -0.0.
+    for i, v in enumerate(values):
+        _require(v not in values[:i], f"{key}[{i}]: repeats {v!r}")
 
 
 def load_config(path) -> ExperimentConfig:

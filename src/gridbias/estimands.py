@@ -285,6 +285,7 @@ def theta_naive(params, plan: TreatmentPlan, J: int) -> tuple[float, float]:
     ey0, ew0 = params.init_mean[0], params.init_mean[1]
     g = _gamma(params, J)
     g_prev = _expm2(params.beta, -params.horizon * (J - 1) / J)
-    w_last = plan(params.horizon * (J - 1) / J)
+    # t_{J-1} as Grid.times forms it, bit for bit.
+    w_last = plan((J - 1) * (params.horizon / J))
     theta_j = g[0, 1] * w_last + g[0, 0] * (g_prev[0, 0] * ey0 + g_prev[0, 1] * ew0)
     return float(theta_j), theta_naive_limit(params)

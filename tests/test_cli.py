@@ -1,6 +1,7 @@
 import copy
 import csv
 import hashlib
+import importlib.util
 import io
 import math
 import os
@@ -222,6 +223,22 @@ class TestCliExitCodes:
         code = main(["bias-table", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"{key}: must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, values, message",
+        [
+            ("beta12", [-5.0, -5.0], "zeta.beta12[1]: repeats -5.0"),
+            ("beta12", [-5, -4.0, -5.0], "zeta.beta12[2]: repeats -5.0"),
+            ("beta12", [0.0, -0.0], "zeta.beta12[1]: repeats -0.0"),
+            ("j_values", [8, 4, 8], "zeta.j_values[2]: repeats 8"),
+        ],
+    )
+    def test_repeated_zeta_sweep_value_is_exit_2(self, key, values, message, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump({"zeta": {key: values}}))
+        code = main(["zeta", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, section, key, value",
@@ -474,12 +491,13 @@ class TestZetaCommand:
 
     def test_run_does_not_import_numpy_ma(self, small_config, tmp_path):
         # np.quantile imports numpy.ma on its first call, about 15 ms of a
-        # zeta run; the bootstrap's percentiles do without it.
+        # zeta run; the bootstrap's percentiles do without it.  The sweep
+        # runs in the calling thread, so no executor is imported either.
         script = (
             "import sys\n"
             "from gridbias.cli import main\n"
             f"code = main(['zeta', '--config', {str(small_config)!r}, '--out', {str(tmp_path)!r}])\n"
-            "print(code, 'numpy.ma' in sys.modules)\n"
+            "print(code, 'numpy.ma' in sys.modules, 'concurrent.futures' in sys.modules)\n"
         )
         src = str(Path(gridbias.__file__).resolve().parents[1])
         done = subprocess.run(
@@ -489,7 +507,7 @@ class TestZetaCommand:
             text=True,
             timeout=120,
         )
-        assert done.stdout.splitlines()[-1] == "0 False", done.stderr
+        assert done.stdout.splitlines()[-1] == "0 False False", done.stderr
 
 
 def test_small_config_output_bytes_are_pinned(small_config, tmp_path):
@@ -497,6 +515,16 @@ def test_small_config_output_bytes_are_pinned(small_config, tmp_path):
         assert main([command, "--config", str(small_config), "--out", str(tmp_path)]) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")}
     assert got == SMALL_CONFIG_DIGESTS
+
+
+def test_run_experiments_script_writes_every_csv(small_config, tmp_path):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_experiments.py"
+    spec = importlib.util.spec_from_file_location("run_experiments", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out = tmp_path / "out"
+    assert script.run(["--config", str(small_config), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(SMALL_CONFIG_DIGESTS)
 
 
 def test_tabulated_bias_table_bytes_are_pinned(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from gridbias import (
+    Grid,
     ModelParams,
     TreatmentPlan,
     identification_bias,
@@ -541,6 +542,16 @@ class TestThetaNaive:
         g_prev = matexp(ref_params.beta, -0.9)
         want = g[0, 1] * 1.0 + g[0, 0] * (g_prev[0, 0] * 1.0 + g_prev[0, 1] * 0.0)
         assert value == pytest.approx(want, rel=1e-13)
+
+    def test_reads_w_at_the_grid_time(self, ref_params):
+        # The jump sits at 0.7 * 5 / 6, one ulp above the grid time
+        # t_5 = 5 * (0.7 / 6), so the schedule is still 0 at t_5.
+        params = dataclasses.replace(ref_params, horizon=0.7)
+        plan = TreatmentPlan.piecewise([0.5833333333333334], [0.0, 1.0], 0.7)
+        assert plan(Grid(J=6, T=0.7).times[5]) == 0.0
+        value, _ = theta_naive(params, plan, 6)
+        want, _ = theta_naive(params, TreatmentPlan.constant(0.0, 0.7), 6)
+        assert value == want
 
     def test_rejects_single_step(self, ref_params, plan_one):
         with pytest.raises(ValueError):
