@@ -162,7 +162,7 @@ def cmd_zeta(cfg: ExperimentConfig, out_dir: Path) -> tuple[Path, Path]:
                         _fmt(report.ci_upper),
                         _fmt(report.tau_hat_half),
                         ZETA_UNDEFINED if report.zeta is None else _fmt(report.zeta),
-                        report.seed,
+                        seed,
                     )
                 )
                 if report.zeta is not None:

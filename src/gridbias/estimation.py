@@ -7,8 +7,11 @@ fits at realistic sample sizes).  The fit solves the normal equations
 summed from per-unit Gram matrices and moments, so a bootstrap resample is
 fit from its unit counts alone.  Under a homoscedastic linear transition
 model the iterated-expectation identification functional collapses exactly
-to the mean recursion ``y_k = a + b y_{k-1} + c w(t_{k-1})``, so the
-plug-in estimate needs no numerical integration.
+to the mean recursion ``y_k = a + b y_{k-1} + c w(t_{k-1})``.  Two
+schedules share ``a`` and the baseline mean ``E[Y0]``, which cancel from
+their difference, so the plug-in contrast is
+``c * sum_k b^(J-1-k) (w*(t_k) - w0(t_k))``: the ``theta_g`` contrast
+evaluated at the fitted one-step map, with no numerical integration.
 
 Interval estimates come from a nonparametric bootstrap that resamples
 whole units with replacement (preserving within-unit dependence) and uses
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimands import TreatmentPlan
+from .estimands import TreatmentPlan, _require_plan_covers
 from .sde import TrajectoryPanel, subsample_panel
 
 __all__ = [
@@ -87,7 +90,6 @@ class ZetaReport:
     ci_lower: float
     ci_upper: float
     zeta: float | None
-    seed: int
 
     def __post_init__(self):
         if self.ci_lower > self.ci_upper:
@@ -100,44 +102,42 @@ class ZetaReport:
 
 def _unit_statistics(values: np.ndarray) -> np.ndarray:
     """Per-unit sufficient statistics of the pooled fit, one row per unit:
-    the Gram matrix ``X_i'X_i`` (9 entries, row-major), the moments
-    ``X_i'y_i`` (3) and the baseline outcome ``Y_i0`` (1)."""
+    the Gram matrix ``X_i'X_i`` (9 entries, row-major) and the moments
+    ``X_i'y_i`` (3)."""
     y_lag = values[:, :-1, 0]
     x = np.stack((np.ones_like(y_lag), y_lag, values[:, :-1, 1]), axis=2)
     gram = np.einsum("nji,njk->nik", x, x).reshape(len(values), 9)
     moment = np.einsum("nji,nj->ni", x, values[:, 1:, 0])
-    return np.column_stack((gram, moment, values[:, 0, 0]))
+    return np.column_stack((gram, moment))
 
 
-def _fit(
-    values: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fit(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pooled OLS on every resample given by a row of ``counts``.
 
     ``counts[b, i]`` is how often unit ``i`` appears in resample ``b`` (all
-    ones for the sample itself).  Returns the coefficients ``(B, 3)``, the
-    baseline outcome means ``(B,)`` and a mask of rank-deficient resamples,
-    whose coefficients are set to zero.  Totals are summed relative to unit
-    0, ``n S_0 + sum_i c_i (S_i - S_0)``, so that resamples of identical
-    units give bit-identical totals whatever their counts.
+    ones for the sample itself).  Returns the coefficients ``(B, 3)`` and a
+    mask of rank-deficient resamples, whose coefficients are set to zero.
+    Totals are summed relative to unit 0, ``n S_0 + sum_i c_i (S_i - S_0)``,
+    so that resamples of identical units give bit-identical totals whatever
+    their counts.
     """
     n = len(values)
     stats = _unit_statistics(values)
     total = n * stats[0] + counts @ (stats - stats[0])
     gram = total[:, :9].reshape(-1, 3, 3)
-    moment = total[:, 9:12]
+    moment = total[:, 9:]
     eig = np.linalg.eigvalsh(gram)
     degenerate = eig[:, 0] <= GRAM_EIG_RTOL * eig[:, -1]
     gram = np.where(degenerate[:, None, None], np.eye(3), gram)
     moment = np.where(degenerate[:, None], 0.0, moment)
     coef = np.linalg.solve(gram, moment[:, :, None])[:, :, 0]
-    return coef, total[:, 12] / n, degenerate
+    return coef, degenerate
 
 
-def _sample_fit(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sample_fit(values: np.ndarray) -> np.ndarray:
     """:func:`_fit` of the sample itself (one all-ones resample); raises
     :class:`DegenerateDesignError` if its design is rank deficient."""
-    coef, y0_mean, degenerate = _fit(values, np.ones((1, len(values))))
+    coef, degenerate = _fit(values, np.ones((1, len(values))))
     if degenerate[0]:
         n_transitions = len(values) * (values.shape[1] - 1)
         if n_transitions < 3:
@@ -147,39 +147,35 @@ def _sample_fit(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise DegenerateDesignError(
             "transition design is rank deficient (constant regressor?)"
         )
-    return coef, y0_mean
-
-
-def _plugin(a, b, c, y0_mean, plan: TreatmentPlan, grid):
-    """The recursion ``y_k = a + b y_{k-1} + c w(t_{k-1})`` from ``y_0``;
-    elementwise over arrays of coefficients."""
-    w = plan.values_at(grid.times[:-1])
-    y = y0_mean
-    for k in range(grid.J):
-        y = a + b * y + c * w[k]
-    return y
+    return coef
 
 
 def _contrast(
-    coef: np.ndarray,
-    y0_mean: np.ndarray,
-    grid,
-    plan_star: TreatmentPlan,
-    plan_base: TreatmentPlan,
+    coef: np.ndarray, grid, plan_star: TreatmentPlan, plan_base: TreatmentPlan
 ) -> np.ndarray:
-    a, b, c = coef.T
-    return _plugin(a, b, c, y0_mean, plan_star, grid) - _plugin(
-        a, b, c, y0_mean, plan_base, grid
-    )
+    """``c * sum_k b^(J-1-k) dw_k`` for every row ``(a, b, c)`` of ``coef``,
+    where ``dw_k = w*(t_k) - w0(t_k)`` on the grid's left endpoints, by the
+    one recursion ``d = b d + c dw_k`` from ``d = 0``.  Adding ``0.0`` at
+    the end writes a contrast of identical plans as ``0.0``, never ``-0.0``."""
+    _require_plan_covers(plan_star, grid.T)
+    _require_plan_covers(plan_base, grid.T)
+    t = grid.times[:-1]
+    dw = plan_star.values_at(t) - plan_base.values_at(t)
+    _, b, c = coef.T
+    d = np.zeros_like(b)
+    for k in range(grid.J):
+        d = b * d + c * dw[k]
+    return d + 0.0
 
 
 def estimate_contrast(
     panel: TrajectoryPanel, plan_star: TreatmentPlan, plan_base: TreatmentPlan
 ) -> ContrastEstimate:
-    """Plug-in contrast between two schedules, sharing one fit and one
-    baseline outcome mean."""
-    coef, y0_mean = _sample_fit(panel.values)
-    tau = _contrast(coef, y0_mean, panel.grid, plan_star, plan_base)
+    """Plug-in contrast between two schedules from one pooled fit ``(a, b,
+    c)``: ``c * sum_k b^(J-1-k) (w*(t_k) - w0(t_k))``.  The intercept ``a``
+    and the baseline mean ``E[Y0]`` enter both schedules' mean recursions
+    alike and cancel exactly, so neither is used."""
+    tau = _contrast(_sample_fit(panel.values), panel.grid, plan_star, plan_base)
     return ContrastEstimate(tau_hat=float(tau[0]))
 
 
@@ -244,8 +240,8 @@ def bootstrap_ci(
         raise ValueError("need at least 2 bootstrap replicates")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    coef, y0_mean, degenerate = _fit(panel.values, _resample_counts(panel.n, n_boot, seed))
-    stats = _contrast(coef, y0_mean, panel.grid, plan_star, plan_base)
+    coef, degenerate = _fit(panel.values, _resample_counts(panel.n, n_boot, seed))
+    stats = _contrast(coef, panel.grid, plan_star, plan_base)
     failures = int(degenerate.sum())
     if failures > MAX_BOOT_FAILURE_FRACTION * n_boot:
         raise BootstrapFailureError(
@@ -303,5 +299,4 @@ def zeta(
         ci_lower=lower,
         ci_upper=upper,
         zeta=ratio,
-        seed=seed,
     )

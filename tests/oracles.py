@@ -1,13 +1,15 @@
 """Reference routes for the noise covariance, the identification bias,
-``theta_g``, the panel CSV writer, the treatment schedule and its integral.
+``theta_g``, the panel CSV writer, the treatment schedule and its integral,
+and the estimator's plug-in contrast.
 
 The package computes each quantity one way: the transition noise
 covariance from Van Loan's block exponential, the bias by direct
 subtraction ``theta_g - eta``, ``theta_g`` in closed form over the runs of
 equal sampled schedule values, each run bound found in O(1), the panel CSV
 from one formatted string per unit, a schedule from one ``(jumps, values)``
-form, and its integral by walking the pieces by index.  The routes here compute the same numbers (or
-bytes) another way and exist only to cross-check those.
+form, its integral by walking the pieces by index, and the plug-in contrast
+by one recursion over the schedule difference.  The routes here compute the
+same numbers (or bytes) another way and exist only to cross-check those.
 """
 
 import bisect
@@ -16,6 +18,7 @@ import decimal
 import math
 from dataclasses import dataclass
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 
@@ -211,3 +214,19 @@ def kind_plan_integral(plan: KindPlan, a: float, b: float, rate: float) -> float
     for lo, hi in zip(cuts, cuts[1:]):
         total += plan((lo + hi) / 2.0) * _exp_weight_integral(lo, hi, b, rate)
     return total
+
+
+def contrast_fraction(coef, y0, grid, plan_star, plan_base) -> float:
+    """The plug-in contrast of the coefficient row ``(a, b, c)`` in exact
+    rational arithmetic: both level recursions ``y_k = a + b y_{k-1} +
+    c w(t_{k-1})`` from ``y_0 = y0``, subtracted, rounded once at the end.
+    ``a`` and ``y0`` cancel exactly, whatever their size."""
+    a, b, c = (Fraction(float(x)) for x in coef)
+    t = grid.times[:-1]
+    ends = []
+    for plan in (plan_star, plan_base):
+        y = Fraction(float(y0))
+        for w in plan.values_at(t).tolist():
+            y = a + b * y + c * Fraction(w)
+        ends.append(y)
+    return float(ends[0] - ends[1])

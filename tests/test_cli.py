@@ -55,8 +55,8 @@ SMALL_CONFIG_DIGESTS = {
     "bias_table.csv": "ab60febb35b0a2b98bca04d3981067b0f2d0184d55278db38a9437a59c157403",
     "counterfactual.csv": "dfab07f7a3ac763a5a1da8355b9857ccdb87d190e18ed2e794d72cdc0d68d887",
     "observational.csv": "b369eec81dbe43ffb403c7792fdb8cdc90a4997abd050ae6a6f7bef35d3620b9",
-    "zeta_cells.csv": "4148b711ed52f995aee6ccce68947049849673315c3c3225a45f60e1650cca64",
-    "zeta_summary.csv": "e38330b0bb3391921eca947ee3ef7773f97a5971ed8740f1f8281b3ad3b0fca4",
+    "zeta_cells.csv": "b968ef158161e172802139acab72f6cdd66c31685e7b2115f3bbfa6f6a854c89",
+    "zeta_summary.csv": "c88af87a6acb70abc814a0947b20a5e59a0067671455dc1f556919006b370df3",
 }
 
 # A bias table of a tabulated plan whose knots fall off every grid (0.137,

@@ -20,8 +20,9 @@ from gridbias import (
     theta_naive,
     zeta,
 )
-from gridbias.estimation import _fit, _plugin, _quantiles, _resample_counts, _sample_fit
+from gridbias.estimation import _contrast, _fit, _quantiles, _resample_counts, _sample_fit
 from tests.conftest import make_params
+from tests.oracles import contrast_fraction
 from tests.lstsq_oracle import lstsq_bootstrap, lstsq_coefficients, lstsq_contrast
 
 
@@ -64,7 +65,7 @@ def residual_variance(values, coef):
 class TestFitTransition:
     def test_exact_recovery_from_noiseless_panel(self):
         panel = synthetic_panel(0.5, 0.9, 0.1)
-        coef, _ = _sample_fit(panel.values)
+        coef = _sample_fit(panel.values)
         a, b, c = coef[0]
         assert a == pytest.approx(0.5, abs=1e-9)
         assert b == pytest.approx(0.9, abs=1e-9)
@@ -88,7 +89,7 @@ class TestFitTransition:
     def test_large_sample_recovers_transition_map(self, ref_params):
         J, n = 10, 20_000
         panel = simulate_panel(ref_params, Grid(J=J, T=1.0), n, seed=21)
-        coef, _ = _sample_fit(panel.values)
+        coef = _sample_fit(panel.values)
         a, b, c = coef[0]
         resid_var, _ = residual_variance(panel.values, coef[0])
         g = matexp(ref_params.beta, -1.0 / J)
@@ -102,22 +103,82 @@ class TestFitTransition:
         assert abs(c - g[0, 1]) < 4 * se[2]
 
 
-class TestGformulaPlugin:
-    def test_fixed_point(self):
-        plan = TreatmentPlan.constant(1.0, horizon=1.0)
-        assert _plugin(0.0, 0.9, 0.1, 1.0, plan, Grid(J=2, T=1.0)) == 1.0
+# Schedule pairs (star, base) of every kind: constants, piecewise and
+# tabulated steps with knots off every grid, and a tabulated knot at the
+# horizon (it never reaches a left endpoint).
+PLAN_PAIRS = [
+    (TreatmentPlan.constant(1.0, 1.0), TreatmentPlan.constant(0.0, 1.0)),
+    (
+        TreatmentPlan.piecewise([0.3, 0.77], [1.0, -0.5, 2.0], 1.0),
+        TreatmentPlan.constant(0.25, 1.0),
+    ),
+    (
+        TreatmentPlan.tabulated(
+            [0.0, 0.137, 0.42, 0.5, 0.81, 1.0], [1.0, 0.3, -0.5, 2.0, 0.8, -1.5], 1.0
+        ),
+        TreatmentPlan.piecewise([0.5], [0.0, 1.0], 1.0),
+    ),
+]
+PLANS = [plan for pair in PLAN_PAIRS for plan in pair]
 
-    def test_geometric_decay_under_null_plan(self):
-        plan = TreatmentPlan.constant(0.0, horizon=1.0)
-        got = _plugin(0.0, 0.8, 0.3, 2.0, plan, Grid(J=7, T=1.0))
-        assert got == pytest.approx(0.8**7 * 2.0, rel=1e-14)
 
-    def test_true_coefficients_reproduce_grid_functional(self, ref_params, plan_one):
-        J = 9
-        g = matexp(ref_params.beta, -1.0 / J)
-        a, b, c = 0.0, float(g[0, 0]), float(g[0, 1])
-        got = _plugin(a, b, c, float(ref_params.init_mean[0]), plan_one, Grid(J=J, T=1.0))
-        assert got == pytest.approx(theta_g(ref_params, plan_one, J), abs=1e-12)
+def contrast_scale(coef, grid, plan_star, plan_base):
+    """``|c| sum_k |b|^(J-1-k) |dw_k|``, the summed magnitude of the terms
+    of the contrast of the coefficient row ``(a, b, c)``."""
+    _, b, c = coef
+    t = grid.times[:-1]
+    dw = np.abs(plan_star.values_at(t) - plan_base.values_at(t))
+    return abs(c) * float(np.sum(np.abs(b) ** np.arange(grid.J - 1, -1, -1) * dw))
+
+
+class TestContrast:
+    @given(
+        coef=st.lists(
+            st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3),
+            min_size=1,
+            max_size=5,
+        ),
+        plan=st.sampled_from(PLANS),
+        J=st.integers(1, 40),
+    )
+    def test_identical_plans_give_exact_zero(self, coef, plan, J):
+        got = _contrast(np.array(coef), Grid(J=J, T=1.0), plan, plan)
+        assert got.tobytes() == np.zeros(len(coef)).tobytes()
+
+    @pytest.mark.parametrize("pair", PLAN_PAIRS)
+    @pytest.mark.parametrize("beta11", [0.2, -0.3, 1.0])
+    @pytest.mark.parametrize("beta12", [-5.0, 1.5])
+    @pytest.mark.parametrize("J", [1, 2, 3, 7, 10, 40, 64])
+    def test_true_map_gives_theta_g_contrast(self, pair, beta11, beta12, J):
+        params = make_params(beta12=beta12, beta11=beta11)
+        plan_star, plan_base = pair
+        grid = Grid(J=J, T=1.0)
+        g = matexp(params.beta, -1.0 / J)
+        coef = np.array([0.0, g[0, 0], g[0, 1]])
+        got = _contrast(coef[None, :], grid, plan_star, plan_base)[0]
+        want = theta_g(params, plan_star, J) - theta_g(params, plan_base, J)
+        assert abs(got - want) <= 1e-14 * contrast_scale(coef, grid, plan_star, plan_base)
+
+    @given(
+        a=st.floats(-1e3, 1e3),
+        b=st.floats(-1.1, 1.1),
+        c=st.floats(1e-6, 10.0),
+        c_sign=st.sampled_from([-1.0, 1.0]),
+        y0=st.floats(-1e3, 1e3),
+        pair=st.sampled_from(PLAN_PAIRS),
+        J=st.integers(1, 40),
+    )
+    @example(a=1e3, b=0.99, c=1e-3, c_sign=1.0, y0=1e3, pair=PLAN_PAIRS[0], J=40)
+    def test_matches_exact_level_recursions(self, a, b, c, c_sign, y0, pair, J):
+        # The exact difference of the two level recursions from y0, in which
+        # a and y0 cancel; at |a|, |y0| ~ 1e3 subtracting the rounded levels
+        # would lose about 1e-11 of the scale.
+        plan_star, plan_base = pair
+        grid = Grid(J=J, T=1.0)
+        coef = np.array([a, b, c_sign * c])
+        got = _contrast(coef[None, :], grid, plan_star, plan_base)[0]
+        want = contrast_fraction(coef, y0, grid, plan_star, plan_base)
+        assert abs(got - want) <= 1e-14 * contrast_scale(coef, grid, plan_star, plan_base)
 
 
 class TestEstimateContrast:
@@ -262,7 +323,7 @@ class TestAgainstLstsqOracle:
     @pytest.mark.parametrize("J", [8, 40])
     def test_fit_coefficients_match_lstsq(self, ref_params, J):
         panel = simulate_panel(ref_params, Grid(J=J, T=1.0), 200, seed=40 + J)
-        coef, _ = _sample_fit(panel.values)
+        coef = _sample_fit(panel.values)
         np.testing.assert_allclose(coef[0], lstsq_coefficients(panel.values), rtol=1e-9)
 
     @pytest.mark.parametrize("J", [8, 40])
@@ -280,7 +341,7 @@ class TestAgainstLstsqOracle:
     def test_partial_degeneracy_drops_the_oracle_replicates(self, plan_one, plan_zero):
         # 3 varying units of 50: (47/50)^50, about 4.5% of resamples miss them all.
         panel = partly_constant_treatment_panel(n=50, varying=3)
-        _, _, degenerate = _fit(panel.values, _resample_counts(panel.n, 500, seed=7))
+        _, degenerate = _fit(panel.values, _resample_counts(panel.n, 500, seed=7))
         want_lo, want_hi, dropped = lstsq_bootstrap(panel, plan_one, plan_zero, 500, 0.05, 7)
         assert 0 < dropped.sum() <= 50
         np.testing.assert_array_equal(degenerate, dropped)
@@ -368,7 +429,7 @@ class TestNaiveEstimandMonteCarlo:
         estimates = []
         for seed in range(10):
             panel = simulate_panel(ref_params, Grid(J=J, T=1.0), 50_000, seed=100 + seed)
-            coef, _ = _sample_fit(panel.values)
+            coef = _sample_fit(panel.values)
             a, b, c = coef[0]
             y_prev = panel.values[:, -2, 0]
             w_star = plan_one((J - 1) / J)

@@ -233,15 +233,23 @@ class TestSimulateCounterfactual:
             simulate_counterfactual(ref_params, short_plan, Grid(J=4, T=1.0), 2, seed=1)
 
     def test_short_plan_fails_alike_everywhere(self, ref_params):
-        from gridbias import theta_g, true_eta
+        from gridbias import bootstrap_ci, estimate_contrast, theta_g, true_eta, zeta
 
         short_plan = TreatmentPlan.constant(1.0, horizon=0.5)
+        full_plan = TreatmentPlan.constant(0.0, horizon=1.0)
         message = "plan domain [0, 0.5] does not cover the study horizon 1.0"
-        calls = (
+        panel = simulate_panel(ref_params, Grid(J=4, T=1.0), 20, seed=1)
+        calls = [
             lambda: true_eta(ref_params, short_plan),
             lambda: theta_g(ref_params, short_plan, 4),
             lambda: simulate_counterfactual(ref_params, short_plan, Grid(J=4, T=1.0), 2, seed=1),
-        )
+        ]
+        for star, base in ((short_plan, full_plan), (full_plan, short_plan)):
+            calls += [
+                partial(estimate_contrast, panel, star, base),
+                partial(bootstrap_ci, panel, star, base, 20, 0.05, seed=1),
+                partial(zeta, panel, star, base, 20, 0.05, seed=1),
+            ]
         for call in calls:
             with pytest.raises(ValueError) as info:
                 call()
