@@ -280,11 +280,19 @@ def _require_distinct(values, key: str) -> None:
         _require(v not in values[:i], f"{key}[{i}]: repeats {v!r}")
 
 
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path) -> ExperimentConfig:
-    """Parse and validate a YAML config file."""
+    """Parse and validate a YAML config file.
+
+    The file is parsed by ``yaml.CSafeLoader`` (libyaml), or by
+    ``yaml.SafeLoader`` when PyYAML was built without libyaml; both accept
+    the same safe YAML and give the same values.
+    """
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_LOADER)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except yaml.YAMLError as exc:

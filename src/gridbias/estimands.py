@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg2 import _expm2
+from .linalg2 import _expm2_rows
 
 __all__ = [
     "TreatmentPlan",
@@ -162,12 +162,6 @@ def true_eta(params, plan: TreatmentPlan) -> float:
     )
 
 
-def _gamma(params, steps_per_horizon: float) -> np.ndarray:
-    """One-step transition map ``e^{-beta T/k}`` for ``k`` steps per horizon;
-    ``ModelParams`` has already checked ``beta``."""
-    return _expm2(params.beta, -params.horizon / steps_per_horizon)
-
-
 def _sample_runs(plan: TreatmentPlan, horizon: float, J: int) -> list[int]:
     """Run boundaries of the schedule sampled at ``t_i = i T/J``, ``i < J``.
 
@@ -221,8 +215,7 @@ def theta_g(params, plan: TreatmentPlan, J: int) -> float:
     if J < 1:
         raise ValueError("J must be >= 1")
     _require_plan_covers(plan, params.horizon)
-    g = _gamma(params, J)
-    g11, g12 = float(g[0, 0]), float(g[0, 1])
+    (g11, g12), _ = _expm2_rows(params.beta.tolist(), -params.horizon / J)
     bounds = _sample_runs(plan, params.horizon, J)
     if g11 > 0.0:
         log_g = math.log(g11)
@@ -259,8 +252,9 @@ def identification_bias(params, plan: TreatmentPlan, J: int) -> float:
 def theta_naive_limit(params) -> float:
     """Dense-grid limit of the naive adjustment: the factual mean
     ``(e^{-beta T} init_mean)[0]`` of the outcome at the horizon."""
-    g_full = _gamma(params, 1)
-    return float(g_full[0, 0] * params.init_mean[0] + g_full[0, 1] * params.init_mean[1])
+    (g11, g12), _ = _expm2_rows(params.beta.tolist(), -params.horizon)
+    ey0, ew0 = params.init_mean.tolist()
+    return g11 * ey0 + g12 * ew0
 
 
 def theta_naive(params, plan: TreatmentPlan, J: int) -> tuple[float, float]:
@@ -282,10 +276,11 @@ def theta_naive(params, plan: TreatmentPlan, J: int) -> tuple[float, float]:
     if J < 2:
         raise ValueError("theta_naive needs J >= 2")
     _require_plan_covers(plan, params.horizon)
-    ey0, ew0 = params.init_mean[0], params.init_mean[1]
-    g = _gamma(params, J)
-    g_prev = _expm2(params.beta, -params.horizon * (J - 1) / J)
+    ey0, ew0 = params.init_mean.tolist()
+    rows = params.beta.tolist()
+    (g11, g12), _ = _expm2_rows(rows, -params.horizon / J)
+    (gp11, gp12), _ = _expm2_rows(rows, -params.horizon * (J - 1) / J)
     # t_{J-1} as Grid.times forms it, bit for bit.
     w_last = plan((J - 1) * (params.horizon / J))
-    theta_j = g[0, 1] * w_last + g[0, 0] * (g_prev[0, 0] * ey0 + g_prev[0, 1] * ew0)
+    theta_j = g12 * w_last + g11 * (gp11 * ey0 + gp12 * ew0)
     return float(theta_j), theta_naive_limit(params)

@@ -12,10 +12,19 @@ For a real 2x2 matrix ``m`` with eigenvalues ``lam1, lam2``, the exponential
 Complex-conjugate pairs ``a +/- ib`` are evaluated in real arithmetic:
 ``s1(t) = e^{a t} sin(b t) / b``, ``s0(t) = e^{a t} (cos(b t) - a sin(b t)/b)``.
 
-The public :func:`eigen2` and :func:`matexp` check their argument once and
-hand it to the internal :func:`_classify` and :func:`_expm2`; callers that
-hold a matrix already checked by :func:`_as_mat2` (such as a frozen
-``ModelParams.beta``) call those directly and skip the check.
+One float-level core carries the closed form: :func:`_expm2_rows` takes the
+four entries of a checked matrix and ``t`` and returns the four entries of
+``e^{t m}`` as Python floats.  It classifies the eigenvalues into a plain
+tuple (:func:`_classify`), evaluates ``s0, s1`` once (:func:`_coefficients`)
+and forms each entry with the float operations NumPy applies to
+``s0 * I + s1 * m``, so its bits equal that 2x2 sum, signed zeros included.
+The public names are thin wrappers over it: :func:`eigen2` checks its
+argument and wraps the classification in an :class:`EigenPair2`,
+:func:`s0s1` evaluates the coefficients of one, and :func:`matexp` checks
+its argument and returns :func:`_expm2`, the core's entries as an array.
+Callers that hold a matrix already checked by :func:`_as_mat2` (such as a
+frozen ``ModelParams.beta``) skip the check: ``estimands`` reads its
+one-step maps from the core as floats, and ``sde`` takes :func:`_expm2`.
 
 :func:`expm_series` is a truncated-Taylor scaling-and-squaring exponential
 of any real square matrix.  It computes the 4x4 block exponential behind
@@ -47,10 +56,6 @@ COLLAPSE_RTOL = 1e-9
 # Taylor-series order of expm_series: after scaling, ||t*m||_inf <= 1/16,
 # where the tail beyond 25 terms is below 1e-55, far under roundoff.
 SERIES_TERMS = 25
-
-_EYE2 = np.eye(2)
-_EYE2.setflags(write=False)
-
 
 def _as_mat2(m, name: str = "matrix") -> np.ndarray:
     """A new float copy of ``m``, checked to be a finite 2x2 matrix."""
@@ -89,12 +94,13 @@ def eigen2(m) -> EigenPair2:
     ``|lam1 - lam2|`` is below ``COLLAPSE_RTOL * max(1, ||m||_inf)`` are
     collapsed to the repeated root ``tr(m)/2``.
     """
-    return _classify(_as_mat2(m))
+    (p, q), (r, s) = _as_mat2(m).tolist()
+    return EigenPair2(*_classify(p, q, r, s))
 
 
-def _classify(a: np.ndarray) -> EigenPair2:
-    """:func:`eigen2` of a matrix :func:`_as_mat2` has already checked."""
-    (p, q), (r, s) = a.tolist()
+def _classify(p: float, q: float, r: float, s: float) -> tuple:
+    """:func:`eigen2` of ``[[p, q], [r, s]]`` as the plain tuple
+    ``(kind, re1, im1, re2, im2)`` of the :class:`EigenPair2` fields."""
     tr = p + s
     det = p * s - q * r
     disc = tr * tr - 4.0 * det
@@ -102,32 +108,35 @@ def _classify(a: np.ndarray) -> EigenPair2:
     gap = math.sqrt(abs(disc))
     if gap < COLLAPSE_RTOL * max(1.0, abs(p) + abs(q), abs(r) + abs(s)):
         lam = 0.5 * tr
-        return EigenPair2("repeated", lam, 0.0, lam, 0.0)
+        return "repeated", lam, 0.0, lam, 0.0
     if disc > 0.0:
         half = 0.5 * math.sqrt(disc)
-        return EigenPair2("distinct-real", 0.5 * tr + half, 0.0, 0.5 * tr - half, 0.0)
+        return "distinct-real", 0.5 * tr + half, 0.0, 0.5 * tr - half, 0.0
     half = 0.5 * math.sqrt(-disc)
-    return EigenPair2("complex-conjugate", 0.5 * tr, half, 0.5 * tr, -half)
+    return "complex-conjugate", 0.5 * tr, half, 0.5 * tr, -half
 
 
 def s0s1(eig: EigenPair2, t: float) -> tuple[float, float]:
     """Scalar coefficients of ``e^{t m} = s0 I + s1 m``; always real."""
+    return _coefficients((eig.kind, eig.re1, eig.im1, eig.re2, eig.im2), t)
+
+
+def _coefficients(eig: tuple, t: float) -> tuple[float, float]:
+    """:func:`s0s1` of the :func:`_classify` tuple ``eig``."""
+    kind, re1, im1, re2, _ = eig
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    if eig.kind == "repeated":
-        lam = eig.re1
-        e = math.exp(lam * t)
-        return (1.0 - lam * t) * e, t * e
-    if eig.kind == "distinct-real":
-        l1, l2 = eig.re1, eig.re2
-        e1, e2 = math.exp(l1 * t), math.exp(l2 * t)
-        d = l1 - l2
-        return (l1 * e2 - l2 * e1) / d, (e1 - e2) / d
-    # complex-conjugate pair a +/- ib, b != 0
-    a, b = eig.re1, eig.im1
-    e = math.exp(a * t)
-    sin_bt = math.sin(b * t) / b
-    return e * (math.cos(b * t) - a * sin_bt), e * sin_bt
+    if kind == "repeated":
+        e = math.exp(re1 * t)
+        return (1.0 - re1 * t) * e, t * e
+    if kind == "distinct-real":
+        e1, e2 = math.exp(re1 * t), math.exp(re2 * t)
+        d = re1 - re2
+        return (re1 * e2 - re2 * e1) / d, (e1 - e2) / d
+    # complex-conjugate pair re1 +/- i im1, im1 != 0
+    e = math.exp(re1 * t)
+    sin_bt = math.sin(im1 * t) / im1
+    return e * (math.cos(im1 * t) - re1 * sin_bt), e * sin_bt
 
 
 def matexp(m, t: float) -> np.ndarray:
@@ -141,8 +150,21 @@ def matexp(m, t: float) -> np.ndarray:
 
 def _expm2(a: np.ndarray, t: float) -> np.ndarray:
     """:func:`matexp` of a matrix :func:`_as_mat2` has already checked."""
-    s0, s1 = s0s1(_classify(a), t)
-    return s0 * _EYE2 + s1 * a
+    return np.array(_expm2_rows(a.tolist(), t))
+
+
+def _expm2_rows(rows, t: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """``e^{t m}`` of the checked rows ``((p, q), (r, s))`` of ``m``, as
+    rows of Python floats.
+
+    Each entry is formed with the float operations NumPy applies to
+    ``s0 * I + s1 * m``, so the bits match that sum, signed zeros
+    included: the off-diagonal of ``s0 * I`` is ``s0 * 0.0``.
+    """
+    (p, q), (r, s) = rows
+    s0, s1 = _coefficients(_classify(p, q, r, s), t)
+    zero = s0 * 0.0
+    return (s0 + s1 * p, zero + s1 * q), (zero + s1 * r, s0 + s1 * s)
 
 
 def expm_series(m, t: float) -> np.ndarray:

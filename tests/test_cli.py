@@ -3,6 +3,7 @@ import csv
 import hashlib
 import importlib.util
 import io
+import json
 import math
 import os
 import subprocess
@@ -26,6 +27,7 @@ from gridbias import (
     true_eta,
     zeta,
 )
+from gridbias import config
 from gridbias.cli import derive_seed, main
 from gridbias.config import ConfigError, ExperimentConfig, dump_config, load_config
 
@@ -146,6 +148,24 @@ class TestConfig:
     def test_repo_default_config_parses(self):
         cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "default.yaml")
         cfg.validate()
+
+    @pytest.mark.parametrize("source", ["default.yaml", "small", "json"])
+    def test_values_match_the_pure_python_loader(self, tmp_path, source):
+        # load_config parses with libyaml where PyYAML has it; every value,
+        # type included, must be what PyYAML's own SafeLoader gives.  The
+        # "json" config is written the way bench/run.py writes its configs.
+        if source == "default.yaml":
+            path = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
+        else:
+            path = tmp_path / "cfg.yaml"
+            text = yaml.safe_dump(SMALL_CONFIG) if source == "small" else json.dumps(TYPED_CONFIG, indent=1)
+            path.write_text(text)
+        want = ExperimentConfig.from_dict(yaml.load(path.read_text(), Loader=yaml.SafeLoader))
+        assert repr(load_config(path)) == repr(want)
+
+    def test_parses_with_libyaml_where_pyyaml_has_it(self):
+        want = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        assert config._LOADER is want
 
     def test_params_hash_of_float_config_is_unchanged(self):
         # The digest keys zeta_cells.csv rows across runs; configs that

@@ -10,6 +10,7 @@ from gridbias import (
     Grid,
     ModelParams,
     TreatmentPlan,
+    eigen2,
     identification_bias,
     matexp,
     plan_integral,
@@ -18,6 +19,7 @@ from gridbias import (
     theta_naive_limit,
     true_eta,
 )
+from gridbias import estimands
 from gridbias.estimands import _sample_runs
 from tests.conftest import make_params
 from tests.oracles import (
@@ -557,3 +559,57 @@ class TestThetaNaive:
         with pytest.raises(ValueError):
             theta_naive(ref_params, plan_one, 1)
 
+
+# One drift of each eigenvalue kind.
+DRIFT_OF_KIND = {
+    "distinct-real": [[0.2, -5.0], [-3.0, 0.5]],
+    "repeated": [[0.4, -1.0], [0.0, 0.4]],
+    "complex-conjugate": [[0.5, -5.0], [3.0, 0.5]],
+}
+
+
+class TestOneStepMapBits:
+    """The one-step maps the closed forms read are the rows of
+    :func:`matexp`, bit for bit."""
+
+    @pytest.fixture(params=list(DRIFT_OF_KIND), ids=list(DRIFT_OF_KIND))
+    def params(self, request, ref_params):
+        p = dataclasses.replace(
+            ref_params,
+            beta=np.array(DRIFT_OF_KIND[request.param]),
+            init_mean=np.array([1.5, -0.7]),
+            horizon=0.7,
+        )
+        assert eigen2(p.beta).kind == request.param
+        return p
+
+    @staticmethod
+    def first_rows(monkeypatch, call) -> list[bytes]:
+        """The first row of every map ``call`` takes from the float core."""
+        core = estimands._expm2_rows
+        rows = []
+
+        def spy(m, t):
+            out = core(m, t)
+            rows.append(np.array(out[0]).tobytes())
+            return out
+
+        monkeypatch.setattr(estimands, "_expm2_rows", spy)
+        call()
+        return rows
+
+    def test_theta_g(self, params, monkeypatch):
+        plan = TreatmentPlan.constant(1.0, 0.7)
+        got = self.first_rows(monkeypatch, lambda: theta_g(params, plan, 14))
+        assert got == [matexp(params.beta, -0.7 / 14)[0].tobytes()]
+
+    def test_theta_naive(self, params, monkeypatch):
+        plan = TreatmentPlan.constant(1.0, 0.7)
+        got = self.first_rows(monkeypatch, lambda: theta_naive(params, plan, 14))
+        want = [matexp(params.beta, t)[0].tobytes() for t in (-0.7 / 14, -0.7 * 13 / 14, -0.7)]
+        assert got == want
+
+    def test_theta_naive_limit(self, params):
+        g = matexp(params.beta, -0.7)[0]
+        want = float(g[0] * 1.5 + g[1] * -0.7)
+        assert np.float64(theta_naive_limit(params)).tobytes() == np.float64(want).tobytes()
