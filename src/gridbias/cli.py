@@ -112,7 +112,7 @@ def cmd_bias_table(cfg: ExperimentConfig, out_dir: Path) -> Path:
     rows = []
     for b11, b21, b12 in itertools.product(bt.beta11, bt.beta21, bt.beta12):
         params = _swept_params(base, b11, b21, b12)
-        rows.extend(row(params, b11, b21, b12, int(j)) for j in bt.j_values)
+        rows.extend(row(params, b11, b21, b12, j) for j in bt.j_values)
     path = out_dir / "bias_table.csv"
     _write_csv(path, BIAS_TABLE_HEADER, rows)
     return path
@@ -122,11 +122,10 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> tuple[Path, Path]:
     """Observational and counterfactual panels on the same grid."""
     params = cfg.model.to_params()
     plan = cfg.plan_star.to_plan(params.horizon, "plan_star")
-    grid = Grid(J=int(cfg.simulate.j), T=params.horizon)
-    obs = simulate_panel(params, grid, int(cfg.simulate.n_units), derive_seed(cfg.seed, 0))
-    cf = simulate_counterfactual(
-        params, plan, grid, int(cfg.simulate.n_units), derive_seed(cfg.seed, 1)
-    )
+    grid = Grid(J=cfg.simulate.j, T=params.horizon)
+    n_units = cfg.simulate.n_units
+    obs = simulate_panel(params, grid, n_units, derive_seed(cfg.seed, 0))
+    cf = simulate_counterfactual(params, plan, grid, n_units, derive_seed(cfg.seed, 1))
     obs_path = out_dir / "observational.csv"
     cf_path = out_dir / "counterfactual.csv"
     write_panel_csv(obs, obs_path)

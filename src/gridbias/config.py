@@ -2,6 +2,11 @@
 dataclass mirrors and full round-trip (parse -> serialize -> parse is the
 identity).
 
+Validation is the one pass over the leaves: it checks each one and stores
+it back typed, every real as a ``float`` and every count as an ``int``, so
+``horizon: 1`` and ``horizon: 1.0`` load as the same config, with the same
+``params_hash``.
+
 Defaults reproduce the reference simulation study: drift
 ``((0.2, -5), (-3, 0.5))``, diffusion ``((1, 0.3), (0.3, 0.5))``, Gaussian
 start ``N((1, 0), 0.25 I)``, horizon 1, schedules ``w* = 1`` vs ``w0 = 0``,
@@ -13,9 +18,8 @@ from __future__ import annotations
 import copy
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
-import numpy as np
 import yaml
 
 from .estimands import TreatmentPlan
@@ -48,13 +52,7 @@ class ModelConfig:
 
     def to_params(self) -> ModelParams:
         try:
-            return ModelParams(
-                beta=np.array(self.beta, dtype=float),
-                sigma=np.array(self.sigma, dtype=float),
-                init_mean=np.array(self.init_mean, dtype=float),
-                init_cov=np.array(self.init_cov, dtype=float),
-                horizon=float(self.horizon),
-            )
+            return ModelParams(self.beta, self.sigma, self.init_mean, self.init_cov, self.horizon)
         except ValueError as exc:
             raise ConfigError(f"model: {exc}") from exc
 
@@ -119,41 +117,40 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def validate(self) -> None:
+        """Check every field and store it back typed: each real as a
+        ``float`` (in lists and matrices too) and each count as an ``int``,
+        so ``horizon: 1`` and ``horizon: 1.0`` give the same config."""
         m = self.model
         for key in ("beta", "sigma", "init_cov"):
-            _require_matrix(getattr(m, key), f"model.{key}")
-        _require_reals(m.init_mean, "model.init_mean")
-        _require_real(m.horizon, "model.horizon")
+            setattr(m, key, _matrix(getattr(m, key), f"model.{key}"))
+        m.init_mean = _reals(m.init_mean, "model.init_mean")
+        m.horizon = _real(m.horizon, "model.horizon")
         for name in ("plan_star", "plan_base"):
             plan = getattr(self, name)
-            _require_real(plan.value, f"{name}.value")
+            plan.value = _real(plan.value, f"{name}.value")
             for key in ("breakpoints", "values", "times"):
-                _require_reals(getattr(plan, key), f"{name}.{key}")
-        self.model.to_params()
-        horizon = float(self.model.horizon)
-        self.plan_star.to_plan(horizon, "plan_star")
-        self.plan_base.to_plan(horizon, "plan_base")
-        _require_count(self.seed, "seed")
-        _require(self.seed >= 0, "seed: must be non-negative")
-        _require_count(self.threads, "threads")
-        _require(self.threads >= 1, "threads: must be >= 1")
+                setattr(plan, key, _reals(getattr(plan, key), f"{name}.{key}"))
+        m.to_params()
+        self.plan_star.to_plan(m.horizon, "plan_star")
+        self.plan_base.to_plan(m.horizon, "plan_base")
+        _require(_count(self.seed, "seed") >= 0, "seed: must be non-negative")
+        _require(_count(self.threads, "threads") >= 1, "threads: must be >= 1")
         _require(
             isinstance(self.out_dir, str) and self.out_dir != "",
             f"out_dir: must be a non-empty string, got {self.out_dir!r}",
         )
         bt = self.bias_table
         for key in ("beta11", "beta21", "beta12"):
-            _require_sweep(getattr(bt, key), f"bias_table.{key}", _is_real, "a finite number")
-        _require_sweep(bt.j_values, "bias_table.j_values", _is_int, "an integer")
+            setattr(bt, key, _sweep(getattr(bt, key), f"bias_table.{key}", _real))
+        bt.j_values = _sweep(bt.j_values, "bias_table.j_values", _count)
         for i, j in enumerate(bt.j_values):
             _require(j >= 1, f"bias_table.j_values[{i}]: J must be an integer >= 1")
-        _require_count(self.simulate.n_units, "simulate.n_units")
-        _require(self.simulate.n_units >= 1, "simulate.n_units: must be >= 1")
-        _require_count(self.simulate.j, "simulate.j")
-        _require(self.simulate.j >= 1, "simulate.j: must be >= 1")
+        sim = self.simulate
+        _require(_count(sim.n_units, "simulate.n_units") >= 1, "simulate.n_units: must be >= 1")
+        _require(_count(sim.j, "simulate.j") >= 1, "simulate.j: must be >= 1")
         z = self.zeta
-        _require_sweep(z.beta12, "zeta.beta12", _is_real, "a finite number")
-        _require_sweep(z.j_values, "zeta.j_values", _is_int, "an integer")
+        z.beta12 = _sweep(z.beta12, "zeta.beta12", _real)
+        z.j_values = _sweep(z.j_values, "zeta.j_values", _count)
         # The summary has one row per (beta12, J) value pair.
         _require_distinct(z.beta12, "zeta.beta12")
         _require_distinct(z.j_values, "zeta.j_values")
@@ -163,10 +160,10 @@ class ExperimentConfig:
                 f"zeta.j_values[{i}]: grid halving needs an even J >= 2, got {j}",
             )
         for key in ("n_units", "n_boot", "replicates"):
-            _require_count(getattr(z, key), f"zeta.{key}")
+            _count(getattr(z, key), f"zeta.{key}")
         _require(z.n_units >= 1, "zeta.n_units: must be >= 1")
         _require(z.n_boot >= 2, "zeta.n_boot: must be >= 2")
-        _require_real(z.alpha, "zeta.alpha")
+        z.alpha = _real(z.alpha, "zeta.alpha")
         _require(0.0 < z.alpha < 1.0, "zeta.alpha: must be in (0, 1)")
         _require(z.replicates >= 1, "zeta.replicates: must be >= 1")
 
@@ -175,58 +172,30 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        raw = copy.deepcopy(raw or {})
         cfg = cls()
-        sections = {
-            "model": ModelConfig,
-            "plan_star": PlanConfig,
-            "plan_base": PlanConfig,
-            "bias_table": BiasTableConfig,
-            "simulate": SimulateConfig,
-            "zeta": ZetaConfig,
-        }
-        for key, value in raw.items():
-            if key in sections:
+        known = {f.name for f in fields(cls)}
+        for key, value in copy.deepcopy(raw or {}).items():
+            if key not in known:
+                raise ConfigError(f"{key}: unknown top-level key")
+            default = getattr(cfg, key)
+            if is_dataclass(default):
                 if not isinstance(value, dict):
                     raise ConfigError(f"{key}: expected a mapping of keys")
-                section_cls = sections[key]
-                known = {f.name for f in fields(section_cls)}
-                extra = set(value) - known
+                extra = set(value) - {f.name for f in fields(default)}
                 if extra:
                     raise ConfigError(f"{key}.{sorted(extra)[0]}: unknown key")
-                setattr(cfg, key, section_cls(**value))
-            elif key in ("seed", "threads", "out_dir"):
-                setattr(cfg, key, value)
-            else:
-                raise ConfigError(f"{key}: unknown top-level key")
+                value = type(default)(**value)
+            setattr(cfg, key, value)
         return cfg
 
     def params_hash(self) -> str:
         """Stable short digest of everything that determines an experiment
         cell's law (used to key CSV rows across runs).  Output location and
-        ``threads``, which has no effect, are excluded."""
+        ``threads``, which has no effect, are excluded.  Taken after
+        :meth:`validate`, it is the same for ``horizon: 1`` and
+        ``horizon: 1.0``."""
         law = {k: v for k, v in self.to_dict().items() if k not in ("out_dir", "threads")}
-        payload = repr(sorted(_typed_leaves(law).items())).encode()
-        return hashlib.sha256(payload).hexdigest()[:12]
-
-
-# Fields whose numbers are counts; every other number in a config is a float.
-_INT_FIELDS = frozenset({"j_values", "n_units", "n_boot", "replicates", "j", "seed"})
-
-
-def _typed_leaves(node, key: str = ""):
-    """``node`` with each number cast to its field's type, so that
-    ``horizon: 1`` and ``horizon: 1.0`` hash alike.  Non-integral values of
-    count fields and bools are left as written."""
-    if isinstance(node, dict):
-        return {k: _typed_leaves(v, k) for k, v in node.items()}
-    if isinstance(node, list):
-        return [_typed_leaves(v, key) for v in node]
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        return node
-    if key in _INT_FIELDS:
-        return int(node) if float(node).is_integer() else node
-    return float(node)
+        return hashlib.sha256(repr(sorted(law.items())).encode()).hexdigest()[:12]
 
 
 def _is_int(value) -> bool:
@@ -248,30 +217,31 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _require_count(value, key: str) -> None:
+# One checker per kind of leaf; each returns the leaf typed.
+def _count(value, key: str) -> int:
     _require(_is_int(value), f"{key}: must be an integer, got {value!r}")
+    return value
 
 
-def _require_real(value, key: str) -> None:
+def _real(value, key: str) -> float:
     _require(_is_real(value), f"{key}: must be a finite number, got {value!r}")
+    return float(value)
 
 
-def _require_reals(values, key: str) -> None:
+def _reals(values, key: str) -> list:
     _require(isinstance(values, list), f"{key}: must be a list of numbers, got {values!r}")
-    for i, v in enumerate(values):
-        _require_real(v, f"{key}[{i}]")
+    return [_real(v, f"{key}[{i}]") for i, v in enumerate(values)]
 
 
-def _require_matrix(rows, key: str) -> None:
+def _matrix(rows, key: str) -> list:
     _require(isinstance(rows, list), f"{key}: must be a list of rows, got {rows!r}")
-    for i, row in enumerate(rows):
-        _require_reals(row, f"{key}[{i}]")
+    return [_reals(row, f"{key}[{i}]") for i, row in enumerate(rows)]
 
 
-def _require_sweep(values, key: str, is_valid, kind: str) -> None:
+def _sweep(values, key: str, leaf) -> list:
+    """The non-empty list ``values``, each entry checked by ``leaf``."""
     _require(isinstance(values, list) and values, f"{key}: sweep must be a non-empty list")
-    for i, v in enumerate(values):
-        _require(is_valid(v), f"{key}[{i}]: must be {kind}, got {v!r}")
+    return [leaf(v, f"{key}[{i}]") for i, v in enumerate(values)]
 
 
 def _require_distinct(values, key: str) -> None:
@@ -291,10 +261,13 @@ def load_config(path) -> ExperimentConfig:
     the same safe YAML and give the same values.
     """
     try:
-        with open(path) as fh:
+        # Read as bytes, so that the YAML reader reports an undecodable byte.
+        with open(path, "rb") as fh:
             raw = yaml.load(fh, Loader=_LOADER)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     if raw is None:

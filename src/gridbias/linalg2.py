@@ -21,10 +21,10 @@ and forms each entry with the float operations NumPy applies to
 The public names are thin wrappers over it: :func:`eigen2` checks its
 argument and wraps the classification in an :class:`EigenPair2`,
 :func:`s0s1` evaluates the coefficients of one, and :func:`matexp` checks
-its argument and returns :func:`_expm2`, the core's entries as an array.
-Callers that hold a matrix already checked by :func:`_as_mat2` (such as a
-frozen ``ModelParams.beta``) skip the check: ``estimands`` reads its
-one-step maps from the core as floats, and ``sde`` takes :func:`_expm2`.
+its argument and returns the core's entries as an array.  Callers that
+hold a matrix already checked by :func:`_as_mat2` (such as a frozen
+``ModelParams.beta``) call the core directly: ``estimands`` reads its
+one-step maps as floats, and ``sde`` makes its mean map an array of them.
 
 :func:`expm_series` is a truncated-Taylor scaling-and-squaring exponential
 of any real square matrix.  It computes the 4x4 block exponential behind
@@ -145,12 +145,7 @@ def matexp(m, t: float) -> np.ndarray:
     Callers that need the one-step transition map of a drift matrix pass a
     negative ``t`` (the map over a step ``delta`` is ``matexp(beta, -delta)``).
     """
-    return _expm2(_as_mat2(m), t)
-
-
-def _expm2(a: np.ndarray, t: float) -> np.ndarray:
-    """:func:`matexp` of a matrix :func:`_as_mat2` has already checked."""
-    return np.array(_expm2_rows(a.tolist(), t))
+    return np.array(_expm2_rows(_as_mat2(m).tolist(), t))
 
 
 def _expm2_rows(rows, t: float) -> tuple[tuple[float, float], tuple[float, float]]:

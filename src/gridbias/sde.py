@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimands import TreatmentPlan, _require_plan_covers, plan_integral
-from .linalg2 import _as_mat2, _expm2, expm_series
+from .linalg2 import _as_mat2, _expm2_rows, expm_series
 
 __all__ = [
     "ModelParams",
@@ -167,7 +167,8 @@ def transition_law(params: ModelParams, delta: float) -> TransitionLaw:
     f = expm_series(block, delta)
     cov = f[2:, 2:].T @ f[:2, 2:]
     cov = 0.5 * (cov + cov.T)
-    return TransitionLaw(mean_map=_expm2(params.beta, -delta), noise_cov=cov)
+    mean_map = np.array(_expm2_rows(params.beta.tolist(), -delta))
+    return TransitionLaw(mean_map=mean_map, noise_cov=cov)
 
 
 def _psd_sqrt(cov: np.ndarray) -> np.ndarray:

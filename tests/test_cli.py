@@ -125,6 +125,19 @@ def small_config(tmp_path) -> Path:
     return path
 
 
+def int_spelled(value):
+    """``value`` with every integral float in it written as an int."""
+    if isinstance(value, list):
+        return [int_spelled(v) for v in value]
+    return int(value) if value.is_integer() else value
+
+
+def flat_leaves(value) -> list:
+    if isinstance(value, list):
+        return [leaf for v in value for leaf in flat_leaves(v)]
+    return [value]
+
+
 def read_rows(path: Path) -> list[dict]:
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -175,6 +188,8 @@ class TestConfig:
         assert cfg.params_hash() == "ba0c733a28ea"
 
     def test_params_hash_ignores_int_vs_float_spelling(self):
+        # validate stores each real as a float, so a validated config hashes
+        # alike however its reals were spelled.
         floats = ExperimentConfig()
         ints = ExperimentConfig()
         ints.model.horizon = 1
@@ -184,13 +199,34 @@ class TestConfig:
         ints.plan_base.value = 0
         ints.bias_table.beta21 = [-3, 0, 3]
         ints.zeta.beta12 = [-10, -8, -6, -5, -4, -3]
-        ints.zeta.j_values = [8.0, 16.0, 24.0, 32.0, 40.0]
-        ints.zeta.n_units = 200.0
-        ints.zeta.n_boot = 500.0
-        ints.zeta.replicates = 20.0
+        ints.validate()
         assert ints.params_hash() == floats.params_hash()
         ints.model.horizon = 2
+        ints.validate()
         assert ints.params_hash() != floats.params_hash()
+
+    def test_int_spelled_reals_load_as_floats(self, tmp_path):
+        # TYPED_CONFIG with every integral real written as an int: it loads
+        # as the same config, with each real a float and each count an int.
+        ints = copy.deepcopy(TYPED_CONFIG)
+        spelled = 0
+        for section, key, kind in TYPED_FIELDS:
+            if kind == "real":
+                ints[section][key] = int_spelled(ints[section][key])
+                spelled += repr(ints[section][key]) != repr(TYPED_CONFIG[section][key])
+        assert spelled >= 10
+        configs = []
+        for name, raw in (("floats", TYPED_CONFIG), ("ints", ints)):
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(yaml.safe_dump(raw))
+            configs.append(load_config(path))
+        floats, typed = configs
+        assert typed == floats
+        assert repr(typed) == repr(floats)
+        assert typed.params_hash() == floats.params_hash()
+        for section, key, kind in TYPED_FIELDS:
+            for leaf in flat_leaves(getattr(getattr(typed, section), key)):
+                assert type(leaf) is (float if kind == "real" else int), (section, key, leaf)
 
     def test_unknown_key_is_an_error(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -234,6 +270,21 @@ class TestCliExitCodes:
         code = main(["zeta", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_config_naming_a_directory_is_exit_2(self, tmp_path, capsys):
+        code = main(["bias-table", "--config", str(tmp_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "config error: cannot read config file" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("loader", sorted({yaml.SafeLoader, config._LOADER}, key=repr))
+    def test_undecodable_config_is_exit_2(self, loader, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(config, "_LOADER", loader)
+        bad = tmp_path / "bad.yaml"
+        bad.write_bytes(b"seed: 5\nout_dir: \"\xff\xfe\"\n")
+        code = main(["bias-table", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "config error: invalid YAML" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["seed", "threads"])
     @pytest.mark.parametrize("value", ["abc", 2.5, True])

@@ -168,16 +168,14 @@ class TestMatexp:
     @example([0.2, -0.0, 3.0, 0.5], -0.25)
     @example([-1.0, 0.0, 0.0, -1.0], 0.5)
     def test_both_routes_give_the_same_bits(self, entries, t):
-        # Every route equals s0 I + s1 m, formed as the full 2x2 sum, to the
-        # bit: the public one, the one for checked arrays, and the float
-        # core under both.
+        # Both routes equal s0 I + s1 m, formed as the full 2x2 sum, to the
+        # bit: the public one and the float core under it.
         m = np.array(entries).reshape(2, 2)
         eig = eigen2(m)
         assert isinstance(eig, EigenPair2)
         s0, s1 = s0s1(eig, t)
         want = s0 * np.eye(2) + s1 * m
         assert matexp(m, t).tobytes() == want.tobytes()
-        assert linalg2._expm2(linalg2._as_mat2(m), t).tobytes() == want.tobytes()
         assert np.array(linalg2._expm2_rows(m.tolist(), t)).tobytes() == want.tobytes()
 
 
