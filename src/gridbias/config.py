@@ -18,7 +18,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import yaml
 
@@ -184,7 +184,7 @@ class ExperimentConfig:
                 extra = set(value) - {f.name for f in fields(default)}
                 if extra:
                     raise ConfigError(f"{key}.{sorted(extra)[0]}: unknown key")
-                value = type(default)(**value)
+                value = replace(default, **value)
             setattr(cfg, key, value)
         return cfg
 

@@ -22,6 +22,9 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,18 +287,63 @@ def write_panel_csv(panel: TrajectoryPanel, path) -> None:
     """Long-format CSV with fixed header ``unit,k,t,Y,W``; floats are
     written as shortest round-trip decimals.
 
-    Rows are written one unit at a time, each unit's rows formatted from
-    Python floats into one string, so memory stays at one unit's rows.  The
-    format is the one :mod:`csv` writes for these fields (ints and float
-    reprs are never quoted), and :func:`read_panel_csv` reads it back.
+    Formatting (``repr`` of every float) is nearly all of the cost, so it
+    runs in two processes: a child forked here formats units
+    ``[n//2, n)`` into an anonymous temporary file in ``path``'s directory
+    while this process writes the header and units ``[0, n//2)`` to
+    ``path``, then reaps the child and appends its part.  The bytes are
+    those of one process writing every unit in order.  A failed child
+    raises ``OSError`` naming ``path``; no child outlives the call.  Needs
+    POSIX ``os.fork``.
+
+    Each unit's rows are formatted from Python floats into one string, so
+    memory stays at one unit's rows per process.  The format is the one
+    :mod:`csv` writes for these fields (ints and float reprs are never
+    quoted), and :func:`read_panel_csv` reads it back.
     """
     # The "k,t," prefix of each grid step is shared by every unit.
     prefixes = [f"{k},{t!r}," for k, t in enumerate(panel.grid.times.tolist())]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(PANEL_CSV_HEADER) + "\n")
-        for i in range(panel.n):
-            unit = panel.values[i].tolist()
-            fh.write("".join([f"{i},{p}{y!r},{w!r}\n" for p, (y, w) in zip(prefixes, unit)]))
+    half = panel.n // 2
+    with tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))) as tail:
+        pid = os.fork()
+        if pid == 0:
+            # The child only turns floats into text and writes a file: it
+            # calls no BLAS and takes no lock that another thread of the
+            # parent could hold, so the hazard Python 3.12 warns about when
+            # a threaded process forks does not arise.  It leaves through
+            # os._exit, never through the caller's frames, atexit handlers
+            # or inherited stdio buffers.
+            code = 1
+            try:
+                with open(tail.fileno(), "w", newline="", closefd=False) as out:
+                    _write_units(out, panel, prefixes, range(half, panel.n))
+                code = 0
+            except BaseException:
+                import traceback
+
+                os.write(2, traceback.format_exc().encode())
+            finally:
+                os._exit(code)
+        try:
+            with open(path, "w", newline="") as fh:
+                fh.write(",".join(PANEL_CSV_HEADER) + "\n")
+                _write_units(fh, panel, prefixes, range(half))
+        finally:
+            status = os.waitpid(pid, 0)[1]
+        if status != 0:
+            raise OSError(
+                f"{path}: the process writing units {half}..{panel.n - 1} "
+                f"failed with exit status {os.waitstatus_to_exitcode(status)}"
+            )
+        tail.seek(0)
+        with open(path, "ab") as fh:
+            shutil.copyfileobj(tail, fh)
+
+
+def _write_units(fh, panel: TrajectoryPanel, prefixes: list, units: range) -> None:
+    for i in units:
+        unit = panel.values[i].tolist()
+        fh.write("".join([f"{i},{p}{y!r},{w!r}\n" for p, (y, w) in zip(prefixes, unit)]))
 
 
 def read_panel_csv(path) -> TrajectoryPanel:

@@ -560,15 +560,19 @@ class TestZetaCommand:
         for name in ("zeta_cells.csv", "zeta_summary.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_run_does_not_import_numpy_ma(self, small_config, tmp_path):
+    @pytest.mark.parametrize("command", ["zeta", "simulate"])
+    def test_run_does_not_import_numpy_ma(self, command, small_config, tmp_path):
         # np.quantile imports numpy.ma on its first call, about 15 ms of a
         # zeta run; the bootstrap's percentiles do without it.  The sweep
-        # runs in the calling thread, so no executor is imported either.
+        # runs in the calling thread and simulate's writer forks with
+        # os.fork, so neither an executor nor multiprocessing (about 7 ms
+        # to import) is imported either.
+        modules = ("numpy.ma", "concurrent.futures", "multiprocessing")
         script = (
             "import sys\n"
             "from gridbias.cli import main\n"
-            f"code = main(['zeta', '--config', {str(small_config)!r}, '--out', {str(tmp_path)!r}])\n"
-            "print(code, 'numpy.ma' in sys.modules, 'concurrent.futures' in sys.modules)\n"
+            f"code = main([{command!r}, '--config', {str(small_config)!r}, '--out', {str(tmp_path)!r}])\n"
+            f"print(code, *(m in sys.modules for m in {modules!r}))\n"
         )
         src = str(Path(gridbias.__file__).resolve().parents[1])
         done = subprocess.run(
@@ -578,7 +582,18 @@ class TestZetaCommand:
             text=True,
             timeout=120,
         )
-        assert done.stdout.splitlines()[-1] == "0 False False", done.stderr
+        assert done.stdout.splitlines()[-1] == "0 False False False", done.stderr
+
+    def test_plan_base_without_value_is_the_zero_schedule(self, tmp_path):
+        # A section's unset keys take that section's own default: plan_base's
+        # value is 0.0, not plan_star's 1.0 (which would make every contrast 0).
+        outputs = []
+        for i, plan_base in enumerate(({"kind": "constant"}, {"kind": "constant", "value": 0.0})):
+            path, out = tmp_path / f"{i}.yaml", tmp_path / f"out{i}"
+            path.write_text(yaml.safe_dump({**SMALL_CONFIG, "plan_base": plan_base}))
+            assert main(["zeta", "--config", str(path), "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes() for name in ("zeta_cells.csv", "zeta_summary.csv")])
+        assert outputs[0] == outputs[1]
 
 
 def test_small_config_output_bytes_are_pinned(small_config, tmp_path):

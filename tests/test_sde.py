@@ -1,4 +1,6 @@
 import math
+import os
+import re
 import tempfile
 import tracemalloc
 from functools import partial
@@ -24,6 +26,7 @@ from gridbias import (
     transition_law,
     write_panel_csv,
 )
+from gridbias import sde
 from gridbias.sde import counterfactual_step_variance
 from tests.conftest import REF_BETA, REF_COV, REF_MEAN, REF_SIGMA, make_params
 from tests.oracles import cov_kronecker, cov_simpson, write_panel_csv_rowwise
@@ -519,6 +522,12 @@ class TestPanelCsvBytes:
         path = self._assert_same_bytes(panel, tmp_path)
         assert path.read_text().splitlines()[-1].endswith(",2.5")
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_units_split_between_two_processes(self, ref_params, tmp_path, n):
+        # Units [0, n//2) are written here and [n//2, n) by the forked
+        # child: an even split, an odd one, and the unit at the boundary.
+        self._assert_same_bytes(simulate_panel(ref_params, Grid(J=4, T=1.0), n, seed=5), tmp_path)
+
     @given(panels())
     def test_round_trip_is_bit_exact(self, panel):
         with tempfile.TemporaryDirectory() as tmp_dir:
@@ -526,6 +535,41 @@ class TestPanelCsvBytes:
             back = read_panel_csv(path)
         assert back.grid == panel.grid
         assert back.values.tobytes() == panel.values.tobytes()
+
+
+class TestPanelCsvSplitFailures:
+    """A failure on either side of the two-process writer raises, and the
+    forked child is reaped on every path."""
+
+    @staticmethod
+    def _assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_failure_is_an_os_error_naming_the_path(self, ref_params, tmp_path, monkeypatch):
+        write_units = sde._write_units
+
+        def fail_in_child(fh, panel, prefixes, units):
+            if units.start > 0:
+                raise RuntimeError("formatting failed")
+            write_units(fh, panel, prefixes, units)
+
+        monkeypatch.setattr(sde, "_write_units", fail_in_child)
+        path = tmp_path / "panel.csv"
+        with pytest.raises(OSError, match=re.escape(str(path))) as err:
+            write_panel_csv(simulate_panel(ref_params, Grid(J=2, T=1.0), 3, seed=1), path)
+        assert type(err.value) is OSError
+        assert "exit status 1" in str(err.value)
+        self._assert_no_child_left()
+
+    def test_parent_failure_propagates_after_reaping(self, ref_params, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError):
+            write_panel_csv(simulate_panel(ref_params, Grid(J=2, T=1.0), 3, seed=1), path)
+        self._assert_no_child_left()
+        # The child's part went to an anonymous file: nothing is left behind.
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestPanelType:
