@@ -20,7 +20,7 @@ from .estimation import (
     sensitivity_ratio,
     zeta,
 )
-from .linalg2 import EigenPair2, eigen2, expm_series, matexp, s0s1
+from .linalg2 import EigenPair2, eigen2, expm_series, matexp
 from .sde import (
     Grid,
     ModelParams,

@@ -39,7 +39,7 @@ from .estimands import (
     theta_naive_limit,
     true_eta,
 )
-from .estimation import BootstrapFailureError, DegenerateDesignError, zeta
+from .estimation import BootstrapFailureError, zeta
 from .sde import Grid, ModelParams, simulate_counterfactual, simulate_panel, write_panel_csv
 
 __all__ = ["main", "cmd_bias_table", "cmd_simulate", "cmd_zeta", "derive_seed"]
@@ -220,19 +220,21 @@ def main(argv=None) -> int:
     out_dir = Path(cfg.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"config error: out_dir: {exc}", file=sys.stderr)
-        return 2
-    try:
         if args.command == "bias-table":
             paths = [cmd_bias_table(cfg, out_dir)]
         elif args.command == "simulate":
             paths = list(cmd_simulate(cfg, out_dir))
         else:
             paths = list(cmd_zeta(cfg, out_dir))
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # The output directory or a file in it cannot be created or written.
+        print(f"config error: out_dir: {exc}", file=sys.stderr)
+        return 2
     except (
         BootstrapFailureError,
-        DegenerateDesignError,
         FloatingPointError,
         np.linalg.LinAlgError,
         OverflowError,

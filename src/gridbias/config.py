@@ -1,6 +1,5 @@
 """Experiment configuration: a YAML file of nested keys with validated
-dataclass mirrors and full round-trip (parse -> serialize -> parse is the
-identity).
+dataclass mirrors.
 
 Validation is the one pass over the leaves: it checks each one and stores
 it back typed, every real as a ``float`` and every count as an ``int``, so
@@ -34,7 +33,6 @@ __all__ = [
     "ZetaConfig",
     "ExperimentConfig",
     "load_config",
-    "dump_config",
 ]
 
 
@@ -55,6 +53,15 @@ class ModelConfig:
             return ModelParams(self.beta, self.sigma, self.init_mean, self.init_cov, self.horizon)
         except ValueError as exc:
             raise ConfigError(f"model: {exc}") from exc
+
+
+# The list fields each plan kind reads.  ``value`` has a default, so every
+# kind may set it; a non-empty list that the kind ignores is an error.
+_PLAN_LISTS = {
+    "constant": (),
+    "piecewise": ("breakpoints", "values"),
+    "tabulated": ("times", "values"),
+}
 
 
 @dataclass
@@ -131,8 +138,15 @@ class ExperimentConfig:
             for key in ("breakpoints", "values", "times"):
                 setattr(plan, key, _reals(getattr(plan, key), f"{name}.{key}"))
         m.to_params()
-        self.plan_star.to_plan(m.horizon, "plan_star")
-        self.plan_base.to_plan(m.horizon, "plan_base")
+        for name in ("plan_star", "plan_base"):
+            plan = getattr(self, name)
+            plan.to_plan(m.horizon, name)
+            # ``values`` last: a kind-specific key is the one to name.
+            for key in ("breakpoints", "times", "values"):
+                _require(
+                    not getattr(plan, key) or key in _PLAN_LISTS[plan.kind],
+                    f"{name}.{key}: not read by kind {plan.kind!r}",
+                )
         _require(_count(self.seed, "seed") >= 0, "seed: must be non-negative")
         _require(_count(self.threads, "threads") >= 1, "threads: must be >= 1")
         _require(
@@ -280,9 +294,3 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: {exc}") from exc
     cfg.validate()
     return cfg
-
-
-def dump_config(cfg: ExperimentConfig, path) -> None:
-    """Serialize a config back to YAML (round-trips through load)."""
-    with open(path, "w") as fh:
-        yaml.safe_dump(cfg.to_dict(), fh, sort_keys=True)

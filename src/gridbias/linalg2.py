@@ -19,12 +19,12 @@ tuple (:func:`_classify`), evaluates ``s0, s1`` once (:func:`_coefficients`)
 and forms each entry with the float operations NumPy applies to
 ``s0 * I + s1 * m``, so its bits equal that 2x2 sum, signed zeros included.
 The public names are thin wrappers over it: :func:`eigen2` checks its
-argument and wraps the classification in an :class:`EigenPair2`,
-:func:`s0s1` evaluates the coefficients of one, and :func:`matexp` checks
-its argument and returns the core's entries as an array.  Callers that
-hold a matrix already checked by :func:`_as_mat2` (such as a frozen
-``ModelParams.beta``) call the core directly: ``estimands`` reads its
-one-step maps as floats, and ``sde`` makes its mean map an array of them.
+argument and wraps the classification in an :class:`EigenPair2`, and
+:func:`matexp` checks its argument and returns the core's entries as an
+array.  Callers that hold a matrix already checked by :func:`_as_mat2`
+(such as a frozen ``ModelParams.beta``) call the core directly:
+``estimands`` reads its one-step maps as floats, and ``sde`` makes its
+mean map an array of them.
 
 :func:`expm_series` is a truncated-Taylor scaling-and-squaring exponential
 of any real square matrix.  It computes the 4x4 block exponential behind
@@ -43,7 +43,6 @@ import numpy as np
 __all__ = [
     "EigenPair2",
     "eigen2",
-    "s0s1",
     "matexp",
     "expm_series",
 ]
@@ -116,13 +115,9 @@ def _classify(p: float, q: float, r: float, s: float) -> tuple:
     return "complex-conjugate", 0.5 * tr, half, 0.5 * tr, -half
 
 
-def s0s1(eig: EigenPair2, t: float) -> tuple[float, float]:
-    """Scalar coefficients of ``e^{t m} = s0 I + s1 m``; always real."""
-    return _coefficients((eig.kind, eig.re1, eig.im1, eig.re2, eig.im2), t)
-
-
 def _coefficients(eig: tuple, t: float) -> tuple[float, float]:
-    """:func:`s0s1` of the :func:`_classify` tuple ``eig``."""
+    """Scalar coefficients of ``e^{t m} = s0 I + s1 m``, always real, from
+    the :func:`_classify` tuple ``eig`` of ``m``."""
     kind, re1, im1, re2, _ = eig
     if not math.isfinite(t):
         raise ValueError("t must be finite")

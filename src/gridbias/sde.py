@@ -355,7 +355,8 @@ def read_panel_csv(path) -> TrajectoryPanel:
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        # A zero-byte file is empty like a header-only one.
+        header = tuple(next(reader, PANEL_CSV_HEADER))
         if header != PANEL_CSV_HEADER:
             raise ValueError(f"unexpected panel CSV header: {header}")
         rows = [(int(u), int(k), float(t), float(y), float(w)) for u, k, t, y, w in reader]

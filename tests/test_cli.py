@@ -29,7 +29,7 @@ from gridbias import (
 )
 from gridbias import config
 from gridbias.cli import derive_seed, main
-from gridbias.config import ConfigError, ExperimentConfig, dump_config, load_config
+from gridbias.config import ConfigError, ExperimentConfig, load_config
 
 SMALL_CONFIG = {
     "bias_table": {
@@ -152,10 +152,10 @@ class TestConfig:
         cfg.seed = 31415
         cfg.zeta.j_values = [4, 12]
         path = tmp_path / "cfg.yaml"
-        dump_config(cfg, path)
+        path.write_text(yaml.safe_dump(cfg.to_dict(), sort_keys=True))
         again = load_config(path)
         assert again == cfg
-        dump_config(again, tmp_path / "cfg2.yaml")
+        (tmp_path / "cfg2.yaml").write_text(yaml.safe_dump(again.to_dict(), sort_keys=True))
         assert (tmp_path / "cfg.yaml").read_bytes() == (tmp_path / "cfg2.yaml").read_bytes()
 
     def test_repo_default_config_parses(self):
@@ -353,6 +353,19 @@ class TestCliExitCodes:
         assert "config error: out_dir: " in capsys.readouterr().err
         assert taken.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize(
+        "command, name", [("simulate", "observational.csv"), ("bias-table", "bias_table.csv")]
+    )
+    def test_output_file_naming_a_directory_is_exit_2(
+        self, command, name, small_config, tmp_path, capsys
+    ):
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        code = main([command, "--config", str(small_config), "--out", str(out)])
+        assert code == 2
+        assert "config error: out_dir: " in capsys.readouterr().err
+        assert (out / name).is_dir()
+
     def test_valid_typed_config_runs(self, tmp_path):
         cfg_path = tmp_path / "typed.yaml"
         cfg_path.write_text(yaml.safe_dump(TYPED_CONFIG))
@@ -442,6 +455,29 @@ class TestCliExitCodes:
             code = main(["bias-table", "--config", str(bad), "--out", str(tmp_path / "o")])
             assert code == 2
             assert f"config error: {key} ({plan['kind']}): " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "plan, unread",
+        [
+            ({"times": [0.0, 0.3], "values": [1.0, 0.0]}, "times: not read by kind 'constant'"),
+            ({"kind": "constant", "values": [1.0]}, "values: not read by kind 'constant'"),
+            (
+                {"kind": "piecewise", "breakpoints": [0.5], "values": [1.0, 0.0], "times": [0.0]},
+                "times: not read by kind 'piecewise'",
+            ),
+            (
+                {"kind": "tabulated", "times": [0.0], "values": [1.0], "breakpoints": [0.5]},
+                "breakpoints: not read by kind 'tabulated'",
+            ),
+        ],
+    )
+    def test_plan_key_its_kind_does_not_read_is_exit_2(self, plan, unread, tmp_path, capsys):
+        for key in ("plan_star", "plan_base"):
+            bad = tmp_path / f"{key}.yaml"
+            bad.write_text(yaml.safe_dump({key: plan}))
+            code = main(["bias-table", "--config", str(bad), "--out", str(tmp_path / "o")])
+            assert code == 2
+            assert f"config error: {key}.{unread}" in capsys.readouterr().err
 
     def test_init_mean_of_wrong_length_is_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

@@ -1,10 +1,11 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from gridbias import EigenPair2, eigen2, expm_series, linalg2, matexp, s0s1
+from gridbias import EigenPair2, eigen2, expm_series, linalg2, matexp
 
 # Reference values computed once with a 40-digit arbitrary-precision
 # evaluation of the defining formulas (characteristic quadratic, scalar
@@ -77,15 +78,15 @@ class TestEigen2:
 class TestS0S1:
     def test_t_zero_is_identity_coefficients(self):
         for m in (np.diag([0.2, 0.5]), FIG_BETA, np.zeros((2, 2))):
-            assert s0s1(eigen2(m), 0.0) == (1.0, 0.0)
+            assert linalg2._coefficients(astuple(eigen2(m)), 0.0) == (1.0, 0.0)
 
     def test_repeated_zero_eigenvalue(self):
-        eig = EigenPair2("repeated", 0.0, 0.0, 0.0, 0.0)
-        assert s0s1(eig, 2.0) == (1.0, 2.0)
+        eig = ("repeated", 0.0, 0.0, 0.0, 0.0)
+        assert linalg2._coefficients(eig, 2.0) == (1.0, 2.0)
 
     def test_distinct_reference_values(self):
-        eig = EigenPair2("distinct-real", 0.2, 0.0, 0.5, 0.0)
-        s0, s1 = s0s1(eig, -1.0)
+        eig = ("distinct-real", 0.2, 0.0, 0.5, 0.0)
+        s0, s1 = linalg2._coefficients(eig, -1.0)
         assert s0 == pytest.approx(S0S1_DISTINCT_REF[0], abs=1e-15)
         assert s1 == pytest.approx(S0S1_DISTINCT_REF[1], abs=1e-15)
 
@@ -94,18 +95,16 @@ class TestS0S1:
         gap = 1e-6
         for lam in (-2.0, -0.5, 0.0, 1.0, 2.0):
             for t in (-2.0, -0.7, 0.3, 2.0):
-                distinct = s0s1(
-                    EigenPair2("distinct-real", lam + gap, 0.0, lam, 0.0), t
-                )
-                repeated = s0s1(
-                    EigenPair2("repeated", lam + gap / 2, 0.0, lam + gap / 2, 0.0), t
+                distinct = linalg2._coefficients(("distinct-real", lam + gap, 0.0, lam, 0.0), t)
+                repeated = linalg2._coefficients(
+                    ("repeated", lam + gap / 2, 0.0, lam + gap / 2, 0.0), t
                 )
                 assert distinct[0] == pytest.approx(repeated[0], abs=1e-6)
                 assert distinct[1] == pytest.approx(repeated[1], abs=1e-6)
 
     def test_complex_branch_is_real_arithmetic(self):
         eig = eigen2(np.array([[0.0, 2.0], [-2.0, 0.0]]))
-        s0, s1 = s0s1(eig, 0.5)
+        s0, s1 = linalg2._coefficients(astuple(eig), 0.5)
         # For eigenvalues +/- 2i: s1 = sin(2t)/2, s0 = cos(2t).
         assert s1 == pytest.approx(math.sin(1.0) / 2.0, abs=1e-15)
         assert s0 == pytest.approx(math.cos(1.0), abs=1e-15)
@@ -173,7 +172,7 @@ class TestMatexp:
         m = np.array(entries).reshape(2, 2)
         eig = eigen2(m)
         assert isinstance(eig, EigenPair2)
-        s0, s1 = s0s1(eig, t)
+        s0, s1 = linalg2._coefficients(astuple(eig), t)
         want = s0 * np.eye(2) + s1 * m
         assert matexp(m, t).tobytes() == want.tobytes()
         assert np.array(linalg2._expm2_rows(m.tolist(), t)).tobytes() == want.tobytes()

@@ -394,6 +394,13 @@ class TestPanelCsv:
         with pytest.raises(ValueError, match="repeats the row of unit 0, step 2"):
             read_panel_csv(path)
 
+    @pytest.mark.parametrize("text", ["", "unit,k,t,Y,W\n"], ids=["zero-byte", "header-only"])
+    def test_empty_file_is_rejected(self, text, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="empty panel CSV"):
+            read_panel_csv(path)
+
     def test_negative_index_is_rejected(self, ref_params, tmp_path):
         path, lines = self._written_lines(ref_params, tmp_path)
         lines[1] = "-1" + lines[1][1:]
