@@ -12,9 +12,7 @@ flag values override the config file, which overrides built-in defaults):
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 
-Every command runs in the calling thread, except that ``simulate``'s
-writer (:func:`gridbias.sde.write_panel_csv`) forks one child per panel to
-format half of its units, and reaps it before returning.  ``--threads`` and
+Every command runs in the calling process and thread.  ``--threads`` and
 the config's ``threads`` are still accepted and validated, so existing
 command lines and config files keep working, but they have no effect.
 Every ``zeta`` cell derives its own seed from the master seed and the

@@ -599,16 +599,18 @@ class TestZetaCommand:
     @pytest.mark.parametrize("command", ["zeta", "simulate"])
     def test_run_does_not_import_numpy_ma(self, command, small_config, tmp_path):
         # np.quantile imports numpy.ma on its first call, about 15 ms of a
-        # zeta run; the bootstrap's percentiles do without it.  The sweep
-        # runs in the calling thread and simulate's writer forks with
-        # os.fork, so neither an executor nor multiprocessing (about 7 ms
-        # to import) is imported either.
-        modules = ("numpy.ma", "concurrent.futures", "multiprocessing")
+        # zeta run; the bootstrap's percentiles do without it.  Every command
+        # runs in the calling process and thread, so neither an executor nor
+        # multiprocessing (about 7 ms to import) is imported either.  Only
+        # simulate's writer imports orjson (5-8 ms), and importing the CLI
+        # does not.
+        modules = ("numpy.ma", "concurrent.futures", "multiprocessing", "orjson")
         script = (
             "import sys\n"
             "from gridbias.cli import main\n"
+            "cli_imports_orjson = 'orjson' in sys.modules\n"
             f"code = main([{command!r}, '--config', {str(small_config)!r}, '--out', {str(tmp_path)!r}])\n"
-            f"print(code, *(m in sys.modules for m in {modules!r}))\n"
+            f"print(code, cli_imports_orjson, *(m in sys.modules for m in {modules!r}))\n"
         )
         src = str(Path(gridbias.__file__).resolve().parents[1])
         done = subprocess.run(
@@ -618,7 +620,8 @@ class TestZetaCommand:
             text=True,
             timeout=120,
         )
-        assert done.stdout.splitlines()[-1] == "0 False False False", done.stderr
+        orjson_imported = command == "simulate"
+        assert done.stdout.splitlines()[-1] == f"0 False False False False {orjson_imported}", done.stderr
 
     def test_plan_base_without_value_is_the_zero_schedule(self, tmp_path):
         # A section's unset keys take that section's own default: plan_base's

@@ -1,12 +1,11 @@
 import math
-import os
-import re
 import tempfile
 import tracemalloc
 from functools import partial
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, strategies as st
 
@@ -26,7 +25,6 @@ from gridbias import (
     transition_law,
     write_panel_csv,
 )
-from gridbias import sde
 from gridbias.sde import counterfactual_step_variance
 from tests.conftest import REF_BETA, REF_COV, REF_MEAN, REF_SIGMA, make_params
 from tests.oracles import cov_kronecker, cov_simpson, write_panel_csv_rowwise
@@ -445,13 +443,12 @@ class TestPanelCsv:
 
 
 @st.composite
-def panels(draw):
+def panels(draw, floats=st.floats(allow_nan=False, allow_infinity=False)):
     n = draw(st.integers(1, 4))
     J = draw(st.integers(1, 6))
     T = draw(st.floats(1e-3, 1e3))
     size = 2 * n * (J + 1)
-    finite = st.floats(allow_nan=False, allow_infinity=False)
-    values = np.array(draw(st.lists(finite, min_size=size, max_size=size))).reshape(n, J + 1, 2)
+    values = np.array(draw(st.lists(floats, min_size=size, max_size=size))).reshape(n, J + 1, 2)
     return TrajectoryPanel(grid=Grid(J=J, T=T), values=values)
 
 
@@ -511,17 +508,34 @@ class TestPanelCsvBytes:
         assert got.read_bytes() == want.read_bytes()
         return got
 
+    @staticmethod
+    def _orjson_units(monkeypatch) -> list:
+        """Collects, as bytes, each unit the writer formats with orjson."""
+        dumps, units = orjson.dumps, []
+        monkeypatch.setattr(
+            orjson, "dumps", lambda a, **kw: units.append(a.tobytes()) or dumps(a, **kw)
+        )
+        return units
+
     def test_single_unit_single_step(self, ref_params, tmp_path):
         self._assert_same_bytes(simulate_panel(ref_params, Grid(J=1, T=1.0), 1, seed=3), tmp_path)
 
-    def test_extreme_and_signed_zero_reprs(self, tmp_path):
+    def test_extreme_and_signed_zero_reprs(self, tmp_path, monkeypatch):
         # -0.0, the smallest subnormal and exponent-notation reprs.
-        values = np.array(
-            [-0.0, 5e-324, 1e300, 1e-7, -1e-7, 1e16, -5e-324, 0.1, 0.0, -1e300, 2.5e-5, 1e22]
-        ).reshape(2, 3, 2)
+        extremes = np.reshape(
+            [-0.0, 5e-324, 1e300, 1e-7, -1e-7, 1e16, -5e-324, 0.1, 0.0, -1e300, 2.5e-5, 1e22], (2, 3, 2)
+        )
+        # Each side of repr's switch to exponent notation, one unit per value
+        # so that a positional one has no exponent-notation value beside it.
+        edges = [math.nextafter(1e-4, 0), 1e-4, -1e-4, 9.99e-05]
+        edges += [math.nextafter(1e16, 0), 1e16, 2.0**53, 1e15]
+        values = np.concatenate([extremes, np.repeat(edges, 6).reshape(-1, 3, 2)])
         panel = TrajectoryPanel(grid=Grid(J=2, T=3.0), values=values)
+        orjson_units = self._orjson_units(monkeypatch)
         path = self._assert_same_bytes(panel, tmp_path)
         assert path.read_text().splitlines()[1] == "0,0,0.0,-0.0,5e-324"
+        # The positional edges 1e-4, -1e-4, nextafter(1e16, 0), 2**53 and 1e15.
+        assert orjson_units == [values[i].tobytes() for i in (3, 4, 6, 8, 9)]
 
     def test_counterfactual_panel_with_knot_at_horizon(self, ref_params, tmp_path):
         plan = TreatmentPlan.tabulated([0.0, 0.137, 0.42, 1.0], [1.0, 0.3, -0.5, 2.5], horizon=1.0)
@@ -529,11 +543,36 @@ class TestPanelCsvBytes:
         path = self._assert_same_bytes(panel, tmp_path)
         assert path.read_text().splitlines()[-1].endswith(",2.5")
 
-    @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_units_split_between_two_processes(self, ref_params, tmp_path, n):
-        # Units [0, n//2) are written here and [n//2, n) by the forked
-        # child: an even split, an odd one, and the unit at the boundary.
-        self._assert_same_bytes(simulate_panel(ref_params, Grid(J=4, T=1.0), n, seed=5), tmp_path)
+    def test_units_on_either_route_interleave(self, ref_params, tmp_path, monkeypatch):
+        # Units 1 and 3 hold a value repr writes in exponent notation; units
+        # 0, 2 and 4 are positional throughout (signed zeros included) and
+        # are formatted by orjson.
+        values = simulate_panel(ref_params, Grid(J=4, T=1.0), 5, seed=5).values.copy()
+        values[0, 1] = 0.0, -0.0
+        values[1, 2, 0] = 1e-7
+        values[3, 4, 1] = -2.5e16
+        orjson_units = self._orjson_units(monkeypatch)
+        self._assert_same_bytes(TrajectoryPanel(grid=Grid(J=4, T=1.0), values=values), tmp_path)
+        assert orjson_units == [values[i].tobytes() for i in (0, 2, 4)]
+
+    def test_fortran_ordered_values(self, ref_params, tmp_path):
+        panel = simulate_panel(ref_params, Grid(J=3, T=1.0), 2, seed=6)
+        fortran = TrajectoryPanel(grid=panel.grid, values=np.asfortranarray(panel.values))
+        assert not fortran.values[0].flags.c_contiguous
+        self._assert_same_bytes(fortran, tmp_path)
+
+    @given(
+        panels(
+            st.floats(1e-4, 1e16, exclude_max=True)
+            | st.floats(-1e16, -1e-4, exclude_min=True)
+            | st.sampled_from([0.0, -0.0])
+        )
+    )
+    def test_positional_units_are_formatted_by_orjson(self, panel):
+        with tempfile.TemporaryDirectory() as tmp_dir, pytest.MonkeyPatch.context() as mp:
+            orjson_units = self._orjson_units(mp)
+            self._assert_same_bytes(panel, tmp_dir)
+        assert len(orjson_units) == panel.n
 
     @given(panels())
     def test_round_trip_is_bit_exact(self, panel):
@@ -545,37 +584,13 @@ class TestPanelCsvBytes:
 
 
 class TestPanelCsvSplitFailures:
-    """A failure on either side of the two-process writer raises, and the
-    forked child is reaped on every path."""
-
-    @staticmethod
-    def _assert_no_child_left():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_child_failure_is_an_os_error_naming_the_path(self, ref_params, tmp_path, monkeypatch):
-        write_units = sde._write_units
-
-        def fail_in_child(fh, panel, prefixes, units):
-            if units.start > 0:
-                raise RuntimeError("formatting failed")
-            write_units(fh, panel, prefixes, units)
-
-        monkeypatch.setattr(sde, "_write_units", fail_in_child)
-        path = tmp_path / "panel.csv"
-        with pytest.raises(OSError, match=re.escape(str(path))) as err:
-            write_panel_csv(simulate_panel(ref_params, Grid(J=2, T=1.0), 3, seed=1), path)
-        assert type(err.value) is OSError
-        assert "exit status 1" in str(err.value)
-        self._assert_no_child_left()
+    """A writer that cannot open its path raises and leaves no file behind."""
 
     def test_parent_failure_propagates_after_reaping(self, ref_params, tmp_path):
         path = tmp_path / "panel.csv"
         path.mkdir()
         with pytest.raises(IsADirectoryError):
             write_panel_csv(simulate_panel(ref_params, Grid(J=2, T=1.0), 3, seed=1), path)
-        self._assert_no_child_left()
-        # The child's part went to an anonymous file: nothing is left behind.
         assert list(tmp_path.iterdir()) == [path]
 
 
