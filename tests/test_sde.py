@@ -543,17 +543,19 @@ class TestPanelCsvBytes:
         path = self._assert_same_bytes(panel, tmp_path)
         assert path.read_text().splitlines()[-1].endswith(",2.5")
 
-    def test_units_on_either_route_interleave(self, ref_params, tmp_path, monkeypatch):
-        # Units 1 and 3 hold a value repr writes in exponent notation; units
-        # 0, 2 and 4 are positional throughout (signed zeros included) and
-        # are formatted by orjson.
-        values = simulate_panel(ref_params, Grid(J=4, T=1.0), 5, seed=5).values.copy()
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_units_on_either_route_interleave(self, ref_params, tmp_path, monkeypatch, n):
+        # Each odd unit holds a value repr writes in exponent notation; the
+        # even units are positional throughout (signed zeros included) and
+        # are formatted by orjson. Two units put the repr-route unit last,
+        # three put it between two orjson-route units, and five alternate.
+        values = simulate_panel(ref_params, Grid(J=4, T=1.0), n, seed=5).values.copy()
         values[0, 1] = 0.0, -0.0
-        values[1, 2, 0] = 1e-7
-        values[3, 4, 1] = -2.5e16
+        for i in range(1, n, 2):
+            values[i, 2 + i // 2, i // 2 % 2] = (1e-7, -2.5e16)[i // 2 % 2]
         orjson_units = self._orjson_units(monkeypatch)
         self._assert_same_bytes(TrajectoryPanel(grid=Grid(J=4, T=1.0), values=values), tmp_path)
-        assert orjson_units == [values[i].tobytes() for i in (0, 2, 4)]
+        assert orjson_units == [values[i].tobytes() for i in range(0, n, 2)]
 
     def test_fortran_ordered_values(self, ref_params, tmp_path):
         panel = simulate_panel(ref_params, Grid(J=3, T=1.0), 2, seed=6)
