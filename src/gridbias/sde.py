@@ -293,8 +293,12 @@ def write_panel_csv(panel: TrajectoryPanel, path) -> None:
     formatted by ``orjson``, and any other unit by ``repr``; the bytes are
     those of ``repr`` everywhere.
 
-    Each unit's rows are joined into one string, so the text held stays at
-    one unit's rows; choosing the routes takes one panel-sized array for a
+    Each unit is one bytes ``%`` format: the per-step pieces
+    ``,k,t,%s\n`` are built once per panel, joined by the unit index into
+    that unit's template, and filled with its ``y,w`` fields.  The file is
+    written through a binary handle, so rows end in ``\n`` on every
+    platform and no text is encoded; the text held stays at one unit's
+    rows, and choosing the routes takes one panel-sized array for a
     moment.  The format is the one :mod:`csv` writes for these fields
     (ints and float reprs are never quoted), and :func:`read_panel_csv`
     reads it back.
@@ -302,21 +306,21 @@ def write_panel_csv(panel: TrajectoryPanel, path) -> None:
     # Imported here: the other commands never write a panel.
     import orjson
 
-    # The "k,t," prefix of each grid step is shared by every unit.
-    prefixes = [f"{k},{t!r}," for k, t in enumerate(panel.grid.times.tolist())]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(PANEL_CSV_HEADER) + "\n")
+    # The leading b"" puts the unit index before the first step's piece;
+    # each later piece ends a row, so the index opens the next one.
+    pieces = [b""] + [f",{k},{t!r},%s\n".encode() for k, t in enumerate(panel.grid.times.tolist())]
+    with open(path, "wb") as fh:
+        fh.write(",".join(PANEL_CSV_HEADER).encode() + b"\n")
         positional = _repr_is_positional(panel.values)
         for i, unit in enumerate(panel.values):
             if positional[i]:
-                # "[[y,w],[y,w],...]" -> ["y,w", "y,w", ...]; orjson takes
+                # b"[[y,w],[y,w],...]" -> (b"y,w", b"y,w", ...); orjson takes
                 # C-ordered arrays only.
                 text = orjson.dumps(np.ascontiguousarray(unit), option=orjson.OPT_SERIALIZE_NUMPY)
-                rows = text.decode()[2:-2].split("],[")
+                rows = tuple(text[2:-2].split(b"],["))
             else:
-                rows = [f"{y!r},{w!r}" for y, w in unit.tolist()]
-            # "\n{i}," ends each row and opens the next one.
-            fh.write(f"{i}," + f"\n{i},".join(map(str.__add__, prefixes, rows)) + "\n")
+                rows = tuple(f"{y!r},{w!r}".encode() for y, w in unit.tolist())
+            fh.write(str(i).encode().join(pieces) % rows)
 
 
 def _repr_is_positional(values: np.ndarray) -> np.ndarray:

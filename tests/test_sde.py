@@ -25,6 +25,7 @@ from gridbias import (
     transition_law,
     write_panel_csv,
 )
+from gridbias import sde
 from gridbias.sde import counterfactual_step_variance
 from tests.conftest import REF_BETA, REF_COV, REF_MEAN, REF_SIGMA, make_params
 from tests.oracles import cov_kronecker, cov_simpson, write_panel_csv_rowwise
@@ -556,6 +557,33 @@ class TestPanelCsvBytes:
         orjson_units = self._orjson_units(monkeypatch)
         self._assert_same_bytes(TrajectoryPanel(grid=Grid(J=4, T=1.0), values=values), tmp_path)
         assert orjson_units == [values[i].tobytes() for i in range(0, n, 2)]
+
+    def test_exponent_times_and_two_digit_units(self, ref_params, tmp_path, monkeypatch):
+        # At T/J = 2.5e-5 the times t_1..t_3 are written in exponent
+        # notation, and twelve units take the unit index to two digits.
+        # Unit 10 holds one value repr writes in exponent notation; the
+        # other units are positional throughout.
+        grid = Grid(J=40, T=1e-3)
+        values = simulate_panel(ref_params, grid, 12, seed=8).values.copy()
+        values[10, 7, 1] = -3e-5
+        orjson_units = self._orjson_units(monkeypatch)
+        path = self._assert_same_bytes(TrajectoryPanel(grid=grid, values=values), tmp_path)
+        assert orjson_units == [values[i].tobytes() for i in range(12) if i != 10]
+        lines = path.read_text().splitlines()
+        assert lines[10 * 41 + 8].startswith("10,7,0.000175,")
+        assert lines[10 * 41 + 8].endswith(",-3e-05")
+        assert lines[11 * 41 + 4].startswith("11,3,7.500000000000001e-05,")
+
+    def test_rows_end_in_lf_where_text_mode_writes_crlf(self, ref_params, tmp_path, monkeypatch):
+        # A text handle opened with the default newline translates "\n" to
+        # the platform's line separator; emulate a "\r\n" platform.
+        def crlf_open(file, mode="r", *args, newline=None, **kwargs):
+            if "b" not in mode and newline is None:
+                newline = "\r\n"
+            return open(file, mode, *args, newline=newline, **kwargs)
+
+        monkeypatch.setattr(sde, "open", crlf_open, raising=False)
+        self._assert_same_bytes(simulate_panel(ref_params, Grid(J=3, T=1.0), 2, seed=4), tmp_path)
 
     def test_fortran_ordered_values(self, ref_params, tmp_path):
         panel = simulate_panel(ref_params, Grid(J=3, T=1.0), 2, seed=6)
