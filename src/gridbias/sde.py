@@ -289,43 +289,59 @@ def write_panel_csv(panel: TrajectoryPanel, path) -> None:
     but only in ``repr``'s positional range: CPython switches ``repr`` to
     exponent notation below ``1e-4`` and from ``1e16`` up (``9.99e-05``,
     ``1e+16``), where ``orjson`` writes ``0.0000999`` and ``1e16``.  So a
-    unit whose nonzero values all lie in ``[1e-4, 1e16)`` in magnitude is
-    formatted by ``orjson``, and any other unit by ``repr``; the bytes are
-    those of ``repr`` everywhere.
+    unit whose formatted values all lie in that range (see
+    :func:`_repr_is_positional`) is formatted by ``orjson`` as one flat
+    row, split on ``,`` into its fields, and any other unit by ``repr``
+    value by value; the bytes are those of ``repr`` everywhere.
 
-    Each unit is one bytes ``%`` format: the per-step pieces
-    ``,k,t,%s\n`` are built once per panel, joined by the unit index into
-    that unit's template, and filled with its ``y,w`` fields.  The file is
-    written through a binary handle, so rows end in ``\n`` on every
+    Only the fields that vary between units are formatted per unit.  When
+    every unit's W column has the same bits (a counterfactual panel's
+    schedule; ``0.0`` and ``-0.0`` differ), the ``repr`` of each ``W_k``
+    goes into the per-step pieces ``,k,t,%s,W_k\n`` once per panel and a
+    unit's fields are its Y column; otherwise the pieces are
+    ``,k,t,%s,%s\n`` and the fields are ``y0,w0,y1,w1,...``.  Each unit
+    is one bytes ``%`` format of the pieces joined by its index.  The file
+    is written through a binary handle, so rows end in ``\n`` on every
     platform and no text is encoded; the text held stays at one unit's
-    rows, and choosing the routes takes one panel-sized array for a
-    moment.  The format is the one :mod:`csv` writes for these fields
+    rows, and choosing the routes takes at most one panel-sized array for
+    a moment.  The format is the one :mod:`csv` writes for these fields
     (ints and float reprs are never quoted), and :func:`read_panel_csv`
     reads it back.
     """
     # Imported here: the other commands never write a panel.
     import orjson
 
+    values = panel.values
+    w_bits = values.view(np.uint64)[:, :, 1]
+    # A panel of no units has no W column to share: its file is the header.
+    if len(values) and np.all(w_bits == w_bits[0]):
+        varying, w_text = values[:, :, :1], [repr(w) for w in values[0, :, 1].tolist()]
+    else:
+        varying, w_text = values, ["%s"] * (panel.grid.J + 1)
     # The leading b"" puts the unit index before the first step's piece;
     # each later piece ends a row, so the index opens the next one.
-    pieces = [b""] + [f",{k},{t!r},%s\n".encode() for k, t in enumerate(panel.grid.times.tolist())]
+    pieces = [b""] + [
+        f",{k},{t!r},%s,{w}\n".encode()
+        for k, (t, w) in enumerate(zip(panel.grid.times.tolist(), w_text))
+    ]
     with open(path, "wb") as fh:
         fh.write(",".join(PANEL_CSV_HEADER).encode() + b"\n")
-        positional = _repr_is_positional(panel.values)
-        for i, unit in enumerate(panel.values):
+        positional = _repr_is_positional(varying)
+        for i, unit in enumerate(varying):
+            # One C-ordered row, as orjson needs: a copy only where the fields
+            # are not contiguous (a shared-W unit's Y column, a Fortran panel).
+            row = unit.ravel()
             if positional[i]:
-                # b"[[y,w],[y,w],...]" -> (b"y,w", b"y,w", ...); orjson takes
-                # C-ordered arrays only.
-                text = orjson.dumps(np.ascontiguousarray(unit), option=orjson.OPT_SERIALIZE_NUMPY)
-                rows = tuple(text[2:-2].split(b"],["))
+                fields = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
             else:
-                rows = tuple(f"{y!r},{w!r}".encode() for y, w in unit.tolist())
-            fh.write(str(i).encode().join(pieces) % rows)
+                fields = [repr(x).encode() for x in row.tolist()]
+            fh.write(str(i).encode().join(pieces) % tuple(fields))
 
 
 def _repr_is_positional(values: np.ndarray) -> np.ndarray:
-    """Per unit of ``values`` (n, J+1, 2): whether ``repr`` writes every
-    value without an exponent, i.e. each is zero or ``1e-4 <= |x| < 1e16``."""
+    """Per unit of ``values`` (n, J+1, c), the fields each unit formats:
+    whether ``repr`` writes every one without an exponent, i.e. each is
+    zero or ``1e-4 <= |x| < 1e16``."""
     mag = np.abs(values)
     return np.all((mag == 0.0) | (mag >= 1e-4) & (mag < 1e16), axis=(1, 2))
 

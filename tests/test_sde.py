@@ -453,6 +453,14 @@ def panels(draw, floats=st.floats(allow_nan=False, allow_infinity=False)):
     return TrajectoryPanel(grid=Grid(J=J, T=T), values=values)
 
 
+def with_shared_w(panel):
+    """``panel`` with unit 0's W column in every unit, as a counterfactual
+    panel's units all hold its schedule."""
+    values = panel.values.copy()
+    values[:, :, 1] = values[0, :, 1]
+    return TrajectoryPanel(grid=panel.grid, values=values)
+
+
 class TestPanelCsvCorruption:
     """One structural corruption of a written panel CSV is a ``ValueError``,
     never another exception type."""
@@ -521,6 +529,10 @@ class TestPanelCsvBytes:
     def test_single_unit_single_step(self, ref_params, tmp_path):
         self._assert_same_bytes(simulate_panel(ref_params, Grid(J=1, T=1.0), 1, seed=3), tmp_path)
 
+    def test_zero_unit_panel_is_the_header_alone(self, tmp_path):
+        panel = TrajectoryPanel(grid=Grid(J=2, T=1.0), values=np.empty((0, 3, 2)))
+        assert self._assert_same_bytes(panel, tmp_path).read_text() == "unit,k,t,Y,W\n"
+
     def test_extreme_and_signed_zero_reprs(self, tmp_path, monkeypatch):
         # -0.0, the smallest subnormal and exponent-notation reprs.
         extremes = np.reshape(
@@ -538,11 +550,15 @@ class TestPanelCsvBytes:
         # The positional edges 1e-4, -1e-4, nextafter(1e16, 0), 2**53 and 1e15.
         assert orjson_units == [values[i].tobytes() for i in (3, 4, 6, 8, 9)]
 
-    def test_counterfactual_panel_with_knot_at_horizon(self, ref_params, tmp_path):
+    def test_counterfactual_panel_with_knot_at_horizon(self, ref_params, tmp_path, monkeypatch):
         plan = TreatmentPlan.tabulated([0.0, 0.137, 0.42, 1.0], [1.0, 0.3, -0.5, 2.5], horizon=1.0)
         panel = simulate_counterfactual(ref_params, plan, Grid(J=8, T=1.0), 3, seed=11)
+        orjson_units = self._orjson_units(monkeypatch)
         path = self._assert_same_bytes(panel, tmp_path)
         assert path.read_text().splitlines()[-1].endswith(",2.5")
+        # Every unit's W column is the schedule, so the schedule's reprs are
+        # written once per panel and orjson sees each unit's Y column only.
+        assert orjson_units == [panel.values[i, :, 0].tobytes() for i in range(3)]
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_units_on_either_route_interleave(self, ref_params, tmp_path, monkeypatch, n):
@@ -591,6 +607,30 @@ class TestPanelCsvBytes:
         assert not fortran.values[0].flags.c_contiguous
         self._assert_same_bytes(fortran, tmp_path)
 
+    def test_w_columns_equal_but_for_the_sign_of_zero_are_not_shared(
+        self, ref_params, tmp_path, monkeypatch
+    ):
+        # 0.0 == -0.0, but the two reprs differ, so the W column must be
+        # formatted per unit.
+        values = simulate_panel(ref_params, Grid(J=3, T=1.0), 3, seed=9).values.copy()
+        values[:, :, 1] = [0.5, 0.0, 2.0, -1.25]
+        values[1, 1, 1] = -0.0
+        orjson_units = self._orjson_units(monkeypatch)
+        path = self._assert_same_bytes(TrajectoryPanel(grid=Grid(J=3, T=1.0), values=values), tmp_path)
+        assert orjson_units == [values[i].tobytes() for i in range(3)]
+        assert path.read_text().splitlines()[1 + 4 + 1].endswith(",-0.0")
+
+    def test_shared_w_column_in_exponent_notation(self, ref_params, tmp_path, monkeypatch):
+        # repr writes the shared W values 1e-07 and 1e+16, which orjson
+        # would not; the Y columns are positional and still go to orjson.
+        values = simulate_panel(ref_params, Grid(J=3, T=1.0), 3, seed=10).values.copy()
+        values[:, :, 1] = [1e-7, 1e16, -2.5e-5, 0.75]
+        orjson_units = self._orjson_units(monkeypatch)
+        path = self._assert_same_bytes(TrajectoryPanel(grid=Grid(J=3, T=1.0), values=values), tmp_path)
+        assert orjson_units == [values[i, :, 0].tobytes() for i in range(3)]
+        lines = path.read_text().splitlines()
+        assert lines[1].endswith(",1e-07") and lines[2].endswith(",1e+16")
+
     @given(
         panels(
             st.floats(1e-4, 1e16, exclude_max=True)
@@ -604,7 +644,7 @@ class TestPanelCsvBytes:
             self._assert_same_bytes(panel, tmp_dir)
         assert len(orjson_units) == panel.n
 
-    @given(panels())
+    @given(panels() | panels().map(with_shared_w))
     def test_round_trip_is_bit_exact(self, panel):
         with tempfile.TemporaryDirectory() as tmp_dir:
             path = self._assert_same_bytes(panel, tmp_dir)
@@ -613,10 +653,10 @@ class TestPanelCsvBytes:
         assert back.values.tobytes() == panel.values.tobytes()
 
 
-class TestPanelCsvSplitFailures:
+class TestPanelCsvWriteFailures:
     """A writer that cannot open its path raises and leaves no file behind."""
 
-    def test_parent_failure_propagates_after_reaping(self, ref_params, tmp_path):
+    def test_unopenable_path_raises_and_leaves_no_file(self, ref_params, tmp_path):
         path = tmp_path / "panel.csv"
         path.mkdir()
         with pytest.raises(IsADirectoryError):
