@@ -3,13 +3,14 @@
 A pooled linear transition model ``Y_k ~ 1 + Y_{k-1} + W_{k-1}`` is fit by
 ordinary least squares across all units and steps (the process is
 temporally homogeneous, so pooling is valid and far more stable than per-k
-fits at realistic sample sizes).  The fit solves the normal equations
-summed from per-unit Gram matrices and moments, so a bootstrap resample is
-fit from its unit counts alone.  Under a homoscedastic linear transition
-model the iterated-expectation identification functional collapses exactly
-to the mean recursion ``y_k = a + b y_{k-1} + c w(t_{k-1})``.  Two
-schedules share ``a`` and the baseline mean ``E[Y0]``, which cancel from
-their difference, so the plug-in contrast is
+fits at realistic sample sizes).  The fit solves the centred 2x2 normal
+equations of the two slopes, formed from per-unit sums of the columns
+shifted by one observed value and of their products, so a bootstrap
+resample is fit from its unit counts alone.  Under a homoscedastic linear
+transition model the iterated-expectation identification functional
+collapses exactly to the mean recursion ``y_k = a + b y_{k-1} + c
+w(t_{k-1})``.  Two schedules share ``a`` and the baseline mean ``E[Y0]``,
+which cancel from their difference, so the plug-in contrast is
 ``c * sum_k b^(J-1-k) (w*(t_k) - w0(t_k))``: the ``theta_g`` contrast
 evaluated at the fitted one-step map, with no numerical integration.
 
@@ -49,15 +50,27 @@ __all__ = [
 # this fraction the interval is considered meaningless and an error is raised.
 MAX_BOOT_FAILURE_FRACTION = 0.10
 
-# A design is rank deficient when the smallest eigenvalue of its Gram matrix
-# X'X is at or below this fraction of the largest.  Forming X'X squares the
-# condition number of X, so an exactly collinear design (a constant
-# treatment column, fewer than three transitions) shows up at rounding
-# level, about 1e-16 of the largest eigenvalue, while bootstrap resamples of
-# the default study sweep's panels sit at 1e-5 and above.  Coefficients
-# solved from a system closer to singular than this would keep fewer than
-# six significant digits.
-GRAM_EIG_RTOL = 1e-10
+# A design is rank deficient when the centred 2x2 normal matrix ``A`` of the
+# lagged outcome and lagged treatment has ``det A <= rtol * a11 * a22``,
+# that is ``1 - corr^2 <= rtol`` for the two columns' correlation, or when
+# either centred sum of squares is at or below ``rtol`` of its shifted,
+# uncentred one (the column is constant up to rounding).  Each ratio is
+# unchanged by scaling or shifting either column, so the test does not
+# depend on the data's units or origin.  An exactly collinear design (a
+# constant treatment, fewer than three transitions) shows up at rounding
+# level, about 1e-16, while bootstrap resamples of the default study
+# sweep's panels have ``1 - corr^2`` of 1e-4 and above and keep at least
+# 40% of each sum of squares after centring.  Slopes solved from a system
+# with ``1 - corr^2`` below this would keep fewer than six significant
+# digits.
+DESIGN_RTOL = 1e-10
+
+# The rank tests of :func:`_fit`, in the order of its mask's columns.
+DESIGN_FAILURES = (
+    "the lagged outcome is constant",
+    "the treatment is constant",
+    "the lagged outcome and the treatment are collinear",
+)
 
 
 class DegenerateDesignError(ValueError):
@@ -101,52 +114,73 @@ class ZetaReport:
 
 
 def _unit_statistics(values: np.ndarray) -> np.ndarray:
-    """Per-unit sufficient statistics of the pooled fit, one row per unit:
-    the Gram matrix ``X_i'X_i`` (9 entries, row-major) and the moments
-    ``X_i'y_i`` (3)."""
-    y_lag = values[:, :-1, 0]
-    x = np.stack((np.ones_like(y_lag), y_lag, values[:, :-1, 1]), axis=2)
-    gram = np.einsum("nji,njk->nik", x, x).reshape(len(values), 9)
-    moment = np.einsum("nji,nj->ni", x, values[:, 1:, 0])
-    return np.column_stack((gram, moment))
+    """Per-unit sufficient statistics of the pooled fit, one row per unit.
+
+    With the shifted columns ``u = y_lag - values[0, 0, 0]``, ``v = w_lag -
+    values[0, 0, 1]`` and ``r = y - values[0, 1, 0]``, the row holds the
+    sums over the unit's transitions of ``u, v, r, uu, uv, vv, ur, vr``.
+    Shifting by one observed value keeps the sums near the data's spread
+    rather than its origin (Chan, Golub & LeVeque 1983).
+    """
+    u = values[:, :-1, 0] - values[0, 0, 0]
+    v = values[:, :-1, 1] - values[0, 0, 1]
+    r = values[:, 1:, 0] - values[0, 1, 0]
+    return np.stack((u, v, r, u * u, u * v, v * v, u * r, v * r), axis=1).sum(axis=2)
 
 
 def _fit(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pooled OLS on every resample given by a row of ``counts``.
 
     ``counts[b, i]`` is how often unit ``i`` appears in resample ``b`` (all
-    ones for the sample itself).  Returns the coefficients ``(B, 3)`` and a
-    mask of rank-deficient resamples, whose coefficients are set to zero.
-    Totals are summed relative to unit 0, ``n S_0 + sum_i c_i (S_i - S_0)``,
-    so that resamples of identical units give bit-identical totals whatever
-    their counts.
+    ones for the sample itself); every row sums to ``n``.  Returns the
+    coefficients ``(B, 3)`` and a ``(B, 3)`` mask of the rank tests each
+    resample fails, in the order of :data:`DESIGN_FAILURES`; a resample
+    failing any of them is rank deficient and its coefficients are zero.
+    Totals of the shifted sums (:func:`_unit_statistics`) are summed
+    relative to unit 0, ``n S_0 + sum_i c_i (S_i - S_0)``, so that resamples
+    of identical units give bit-identical totals whatever their counts.  The
+    slopes ``(b, c)`` solve the centred 2x2 normal equations by Cramer's
+    rule, and the intercept follows from the shifted means.
     """
-    n = len(values)
+    n, n_trans = len(values), len(values) * (values.shape[1] - 1)
     stats = _unit_statistics(values)
-    total = n * stats[0] + counts @ (stats - stats[0])
-    gram = total[:, :9].reshape(-1, 3, 3)
-    moment = total[:, 9:]
-    eig = np.linalg.eigvalsh(gram)
-    degenerate = eig[:, 0] <= GRAM_EIG_RTOL * eig[:, -1]
-    gram = np.where(degenerate[:, None, None], np.eye(3), gram)
-    moment = np.where(degenerate[:, None], 0.0, moment)
-    coef = np.linalg.solve(gram, moment[:, :, None])[:, :, 0]
-    return coef, degenerate
+    su, sv, sr, suu, suv, svv, sur, svr = (n * stats[0] + counts @ (stats - stats[0])).T
+    a11 = suu - su * su / n_trans
+    a12 = suv - su * sv / n_trans
+    a22 = svv - sv * sv / n_trans
+    r1 = sur - su * sr / n_trans
+    r2 = svr - sv * sr / n_trans
+    det = a11 * a22 - a12 * a12
+    failed = np.column_stack(
+        (
+            a11 <= DESIGN_RTOL * suu,
+            a22 <= DESIGN_RTOL * svv,
+            det <= DESIGN_RTOL * a11 * a22,
+        )
+    )
+    degenerate = failed.any(axis=1)
+    det = np.where(degenerate, 1.0, det)
+    b = (a22 * r1 - a12 * r2) / det
+    c = (a11 * r2 - a12 * r1) / det
+    y00, w00 = values[0, 0]
+    a = values[0, 1, 0] - b * y00 - c * w00 + (sr - b * su - c * sv) / n_trans
+    coef = np.where(degenerate[:, None], 0.0, np.column_stack((a, b, c)))
+    return coef, failed
 
 
 def _sample_fit(values: np.ndarray) -> np.ndarray:
     """:func:`_fit` of the sample itself (one all-ones resample); raises
-    :class:`DegenerateDesignError` if its design is rank deficient."""
-    coef, degenerate = _fit(values, np.ones((1, len(values))))
-    if degenerate[0]:
+    :class:`DegenerateDesignError`, naming the failed rank test, if its
+    design is rank deficient."""
+    coef, failed = _fit(values, np.ones((1, len(values))))
+    if failed.any():
         n_transitions = len(values) * (values.shape[1] - 1)
         if n_transitions < 3:
             raise DegenerateDesignError(
                 f"need at least 3 pooled transitions, got {n_transitions}"
             )
-        raise DegenerateDesignError(
-            "transition design is rank deficient (constant regressor?)"
-        )
+        reason = DESIGN_FAILURES[int(np.argmax(failed[0]))]
+        raise DegenerateDesignError(f"transition design is rank deficient: {reason}")
     return coef
 
 
@@ -230,9 +264,10 @@ def bootstrap_ci(
     (see :func:`_resample_counts`), so the interval is deterministic given
     the seed.  The pooled fit depends on the data only through per-unit
     sufficient statistics, so a replicate is not refit on copied data: its
-    unit counts weight those statistics, and one batched 3x3 solve fits all
-    replicates.  Quantiles interpolate linearly between order statistics,
-    bit for bit as ``np.quantile`` does (:func:`_quantiles`).  Replicates
+    unit counts weight those statistics, and one vectorised 2x2 solve by
+    Cramer's rule fits all replicates.  Quantiles interpolate linearly
+    between order statistics, bit for bit as ``np.quantile`` does
+    (:func:`_quantiles`).  Replicates
     whose design is rank deficient are skipped; more than 10% of them
     raises :class:`BootstrapFailureError`.
     """
@@ -240,7 +275,8 @@ def bootstrap_ci(
         raise ValueError("need at least 2 bootstrap replicates")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    coef, degenerate = _fit(panel.values, _resample_counts(panel.n, n_boot, seed))
+    coef, failed = _fit(panel.values, _resample_counts(panel.n, n_boot, seed))
+    degenerate = failed.any(axis=1)
     stats = _contrast(coef, panel.grid, plan_star, plan_base)
     failures = int(degenerate.sum())
     if failures > MAX_BOOT_FAILURE_FRACTION * n_boot:

@@ -42,15 +42,16 @@ def synthetic_panel(a, b, c, n=6, J=5, seed=0, noise=0.0):
     return TrajectoryPanel(grid=Grid(J=J, T=1.0), values=values)
 
 
-def partly_constant_treatment_panel(n, varying, J=5, seed=0):
-    """Panel whose treatment is the constant 1.0 except in the last
-    ``varying`` units; a resample that misses all of those has a treatment
-    column equal to the intercept column."""
+def partly_constant_treatment_panel(n, varying, J=5, seed=0, w=1.0, first=False):
+    """Panel whose treatment is the constant ``w`` except in the last (or,
+    with ``first``, the first) ``varying`` units; a resample that misses all
+    of those has a treatment column proportional to the intercept column."""
     rng = np.random.default_rng(seed)
     values = np.empty((n, J + 1, 2))
     values[:, :, 0] = rng.standard_normal((n, J + 1))
-    values[:, :, 1] = 1.0
-    values[n - varying :, :, 1] = rng.uniform(-1, 1, size=(varying, J + 1))
+    values[:, :, 1] = w
+    units = slice(None, varying) if first else slice(n - varying, None)
+    values[units, :, 1] = rng.uniform(-1, 1, size=(varying, J + 1))
     return TrajectoryPanel(grid=Grid(J=J, T=1.0), values=values)
 
 
@@ -84,6 +85,25 @@ class TestFitTransition:
         values = panel.values.copy()
         values[:, :, 1] = 1.0
         with pytest.raises(DegenerateDesignError):
+            _sample_fit(values)
+
+    @pytest.mark.parametrize(
+        "degrade, reason",
+        [
+            ("lagged_outcome", "the lagged outcome is constant"),
+            ("treatment", "the treatment is constant"),
+            ("collinear", "the lagged outcome and the treatment are collinear"),
+        ],
+    )
+    def test_error_names_the_failed_rank_test(self, degrade, reason):
+        values = synthetic_panel(0.0, 0.5, 0.5, n=5, J=5).values.copy()
+        if degrade == "lagged_outcome":
+            values[:, :-1, 0] = 0.3
+        elif degrade == "treatment":
+            values[:, :, 1] = -2.0
+        else:
+            values[:, :, 1] = 3.0 * values[:, :, 0] - 1.0
+        with pytest.raises(DegenerateDesignError, match=f"rank deficient: {reason}$"):
             _sample_fit(values)
 
     def test_large_sample_recovers_transition_map(self, ref_params):
@@ -338,13 +358,25 @@ class TestAgainstLstsqOracle:
         assert lo == pytest.approx(want_lo, rel=1e-9)
         assert hi == pytest.approx(want_hi, rel=1e-9)
 
-    def test_partial_degeneracy_drops_the_oracle_replicates(self, plan_one, plan_zero):
-        # 3 varying units of 50: (47/50)^50, about 4.5% of resamples miss them all.
-        panel = partly_constant_treatment_panel(n=50, varying=3)
-        _, degenerate = _fit(panel.values, _resample_counts(panel.n, 500, seed=7))
+    @pytest.mark.parametrize("varying", [3, 1])
+    @pytest.mark.parametrize("w", [1.0, 0.3, 1e3])
+    @pytest.mark.parametrize("first", [False, True], ids=["varying_last", "varying_first"])
+    def test_partial_degeneracy_drops_the_oracle_replicates(
+        self, plan_one, plan_zero, varying, w, first
+    ):
+        # 3 varying units of 50: (47/50)^50, about 4.5% of resamples miss them
+        # all; 1 varying unit: (49/50)^50, about 36%.  With the varying units
+        # first, unit 0's treatment, by which the sums are shifted, is not
+        # the constant, so a resample's shifted treatment is a nonzero constant.
+        panel = partly_constant_treatment_panel(n=50, varying=varying, w=w, first=first)
+        _, failed = _fit(panel.values, _resample_counts(panel.n, 500, seed=7))
         want_lo, want_hi, dropped = lstsq_bootstrap(panel, plan_one, plan_zero, 500, 0.05, 7)
-        assert 0 < dropped.sum() <= 50
-        np.testing.assert_array_equal(degenerate, dropped)
+        assert 0 < dropped.sum() <= 50 if varying == 3 else dropped.sum() > 50
+        np.testing.assert_array_equal(failed.any(axis=1), dropped)
+        if varying == 1:
+            with pytest.raises(BootstrapFailureError):
+                bootstrap_ci(panel, plan_one, plan_zero, 500, 0.05, seed=7)
+            return
         lo, hi = bootstrap_ci(panel, plan_one, plan_zero, 500, 0.05, seed=7)
         assert lo == pytest.approx(want_lo, rel=1e-9)
         assert hi == pytest.approx(want_hi, rel=1e-9)
@@ -410,6 +442,40 @@ class TestZeta:
             rep = zeta(panel, plan_one, plan_zero, 200, 0.05, seed=seed)
             zeros += rep.zeta == 0.0
         assert zeros >= 5
+
+    # (Y scale, W scale, Y shift, W shift): changes of unit and origin,
+    # which must not change the rank tests' verdict.
+    @pytest.mark.parametrize(
+        "sy, sw, dy, dw",
+        [
+            (1e4, 1.0, 0.0, 0.0),
+            (1e-4, 1.0, 0.0, 0.0),
+            (1.0, 1e5, 0.0, 0.0),
+            (1.0, 1e-4, 0.0, 0.0),
+            (1e6, 1e6, 0.0, 0.0),
+            (1.0, 1.0, 1e3, 0.0),
+            (1.0, 1.0, 0.0, 1e3),
+            (1.0, 1.0, 1e5, 1e3),
+        ],
+    )
+    def test_report_follows_affine_changes_of_units(
+        self, ref_params, plan_one, plan_zero, sy, sw, dy, dw
+    ):
+        # Y -> sy Y + dy and W -> sw W + dw leave the schedules' difference
+        # in W unchanged, so b is unchanged, c becomes c sy / sw and every
+        # contrast scales by sy / sw.
+        panel = simulate_panel(ref_params, Grid(J=40, T=1.0), 200, seed=14)
+        values = panel.values.copy()
+        values[:, :, 0] = sy * values[:, :, 0] + dy
+        values[:, :, 1] = sw * values[:, :, 1] + dw
+        moved = TrajectoryPanel(grid=panel.grid, values=values)
+        _, failed = _fit(values, _resample_counts(panel.n, 500, seed=14))
+        assert not failed.any()
+        want = zeta(panel, plan_one, plan_zero, 500, 0.05, seed=14)
+        got = zeta(moved, plan_one, plan_zero, 500, 0.05, seed=14)
+        for field in ("tau_hat", "tau_hat_half", "ci_lower", "ci_upper"):
+            rescaled = getattr(want, field) * sy / sw
+            assert getattr(got, field) == pytest.approx(rescaled, rel=1e-10)
 
     def test_bit_identical_given_seed(self, plan_one, plan_zero):
         p = make_params(beta12=-10.0)
