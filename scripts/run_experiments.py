@@ -8,8 +8,9 @@ Equivalent to invoking the CLI three times:
     gridbias zeta       --config configs/default.yaml --out results
 
 The zeta sweep is the expensive part (6 beta12 values x 5 grids x 20
-replicates with 500 bootstrap refits each).  On a 2-core Intel Xeon with
-Python 3.11 and numpy 2.4 the whole battery took 7-9 s.
+replicates with 500 bootstrap refits each).  On a shared 2-core Intel Xeon
+with Python 3.11 and numpy 2.4 the whole battery took 4.2-5.0 s, 3.9-4.6 s
+of it the zeta sweep.
 """
 
 import argparse

@@ -1,6 +1,8 @@
 import math
+import signal
 import tempfile
 import tracemalloc
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -133,6 +135,76 @@ class TestTransitionLaw:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def tuple_key_stream(seed, unit):
+    """The stream as ``SeedSequence`` builds it from the tuple key itself."""
+    return np.random.default_rng(np.random.SeedSequence((seed, 0, unit)))
+
+
+def assert_same_stream(got, want):
+    assert got.bit_generator.state == want.bit_generator.state
+    assert np.array_equal(got.bit_generator.random_raw(16), want.bit_generator.random_raw(16))
+    assert np.array_equal(got.standard_normal(16), want.standard_normal(16))
+
+
+@contextmanager
+def fails_within(seconds):
+    """Raise in the main thread if the block runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestUnitStream:
+    # Word boundaries of the 32-bit split: 0 is one zero word, 2^32 - 1 the
+    # largest one-word key, 2^32 the smallest two-word one.
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**70]
+    UNITS = [0, 1, 2**32 - 1, 2**32]
+
+    @pytest.mark.parametrize("unit", UNITS)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_the_tuple_key(self, seed, unit):
+        assert_same_stream(sde.unit_stream(seed, unit), tuple_key_stream(seed, unit))
+
+    @given(st.integers(0, 2**130), st.integers(0, 2**70))
+    def test_matches_the_tuple_key_everywhere(self, seed, unit):
+        assert_same_stream(sde.unit_stream(seed, unit), tuple_key_stream(seed, unit))
+
+    def test_numpy_integer_keys_match(self):
+        assert_same_stream(
+            sde.unit_stream(np.uint64(2**64 - 1), np.int64(3)), tuple_key_stream(2**64 - 1, 3)
+        )
+
+    @pytest.mark.parametrize("seed, unit", [(-1, 0), (0, -1), (-(2**70), 5), (7, -(2**40))])
+    def test_negative_key_raises(self, seed, unit):
+        # A negative int shifted right never reaches 0.
+        with fails_within(2.0), pytest.raises(ValueError, match="non-negative"):
+            sde.unit_stream(seed, unit)
+
+    @pytest.mark.parametrize("seed, unit", [(1.5, 0), (0, 2.0), (np.float64(3.0), 1), ("7", 0)])
+    def test_non_integer_key_raises(self, seed, unit):
+        with pytest.raises(TypeError):
+            sde.unit_stream(seed, unit)
+
+    def test_simulators_reject_bad_seeds(self, ref_params, plan_one):
+        grid = Grid(J=3, T=1.0)
+        for simulate in (
+            partial(simulate_panel, ref_params, grid, 2),
+            partial(simulate_counterfactual, ref_params, plan_one, grid, 2),
+        ):
+            with fails_within(2.0), pytest.raises(ValueError, match="non-negative"):
+                simulate(-1)
+            with pytest.raises(TypeError):
+                simulate(1.5)
+
+
 class TestSimulatePanel:
     def test_deterministic_flow_without_noise(self):
         p = make_params(sigma=np.zeros((2, 2)), init_cov=np.zeros((2, 2)))
@@ -149,6 +221,15 @@ class TestSimulatePanel:
         want = matexp(ref_params.beta, -1.0) @ ref_params.init_mean
         se = terminal.std(axis=0, ddof=1) / math.sqrt(n)
         assert np.all(np.abs(terminal.mean(axis=0) - want) < 4 * se)
+
+    @pytest.mark.parametrize("seed", [5, 2**63 + 12345])
+    def test_units_do_not_depend_on_panel_size(self, ref_params, seed):
+        # Unit i's rows depend only on (seed, i) and J: the first 50 units
+        # of a 200-unit panel are the 50-unit panel, bit for bit.
+        grid = Grid(J=7, T=1.0)
+        small = simulate_panel(ref_params, grid, 50, seed)
+        large = simulate_panel(ref_params, grid, 200, seed)
+        assert np.array_equal(small.values, large.values[:50])
 
     def test_seed_reproducibility(self, ref_params):
         a = simulate_panel(ref_params, Grid(J=5, T=1.0), 64, seed=123)
@@ -228,6 +309,14 @@ class TestSimulateCounterfactual:
         want = y_eq + np.exp(-b11 * grid.times) * (p.init_mean[0] - y_eq)
         np.testing.assert_allclose(panel.values[0, :, 0], want, rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(panel.values[:, :, 1], np.tile(c, (2, grid.J + 1)))
+
+    @pytest.mark.parametrize("seed", [5, 2**63 + 12345])
+    def test_units_do_not_depend_on_panel_size(self, ref_params, seed):
+        plan = TreatmentPlan.piecewise([0.5], [0.0, 1.0], horizon=1.0)
+        grid = Grid(J=7, T=1.0)
+        small = simulate_counterfactual(ref_params, plan, grid, 50, seed)
+        large = simulate_counterfactual(ref_params, plan, grid, 200, seed)
+        assert np.array_equal(small.values, large.values[:50])
 
     def test_plan_must_cover_grid(self, ref_params):
         short_plan = TreatmentPlan.constant(1.0, horizon=0.5)
