@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg2 import _expm2_rows
+from .linalg2 import _expm2_rows, _expm2m1_rows
 
 __all__ = [
     "TreatmentPlan",
@@ -203,36 +203,39 @@ def theta_g(params, plan: TreatmentPlan, J: int) -> float:
 
     The cost is one term per schedule piece, whatever ``J``: the run bounds
     come from :func:`_sample_runs` in O(1) each, and no J-sized array is
-    built.  For ``g11 > 0`` the powers are ``exp(n log g11)`` and the
-    geometric factor ``expm1(m log g11) / expm1(log g11)``, which keeps full
-    precision as ``g11 -> 1`` (and is ``m`` at ``g11 == 1``); for
+    built.  ``g11 - 1`` comes straight from the ``e^{t m} - I`` core, so
+    the rounding of ``g11`` itself, which the J-th power would turn into J
+    ulps, never enters.  For ``g11 > 0`` the powers are ``exp(n log g11)``
+    with ``log g11 = log1p(g11 - 1)``, and the geometric factor is
+    ``expm1(m log g11) / (g11 - 1)`` (``m`` at ``g11 == 1``); for
     ``g11 <= 0`` both are direct powers, since ``1 - g11 >= 1`` leaves
     nothing to cancel.  The error stays at roundoff of the summed term
-    magnitudes for every ``J``, where a J-step recursion accumulates ``J``
-    roundings.  Raises ``OverflowError`` when the result exceeds the double
-    range.
+    magnitudes for every ``J``, near repeated eigenvalues of ``beta`` too,
+    where a J-step recursion accumulates ``J`` roundings.  Raises
+    ``OverflowError`` when the result exceeds the double range.
     """
     if J < 1:
         raise ValueError("J must be >= 1")
     _require_plan_covers(plan, params.horizon)
-    (g11, g12), _ = _expm2_rows(params.beta.tolist(), -params.horizon / J)
+    (g11m1, g12), _ = _expm2m1_rows(params.beta.tolist(), -params.horizon / J)
     bounds = _sample_runs(plan, params.horizon, J)
-    if g11 > 0.0:
-        log_g = math.log(g11)
+    if g11m1 > -1.0:
+        log_g = math.log1p(g11m1)
 
         def power(n: int) -> float:
             return math.exp(n * log_g)
 
         def geometric(m: int) -> float:
-            return math.expm1(m * log_g) / math.expm1(log_g) if log_g else float(m)
+            return math.expm1(m * log_g) / g11m1 if g11m1 else float(m)
 
     else:
+        g11 = 1.0 + g11m1
 
         def power(n: int) -> float:
             return g11**n
 
         def geometric(m: int) -> float:
-            return (1.0 - g11**m) / (1.0 - g11)
+            return (1.0 - g11**m) / -g11m1
 
     forced = 0.0
     for v, start, end in zip(plan.values, bounds, bounds[1:]):

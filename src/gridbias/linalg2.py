@@ -1,30 +1,33 @@
 """Matrix exponentials: closed form for 2x2, Taylor series for any size.
 
-For a real 2x2 matrix ``m`` with eigenvalues ``lam1, lam2``, the exponential
-``e^{t m}`` equals ``s0(t) I + s1(t) m`` with scalar coefficient functions
+A real 2x2 matrix ``m = [[p, q], [r, s]]`` splits as ``m = a I + n`` with
+``a = tr(m)/2``, ``d = (p - s)/2``, ``n = [[d, q], [r, -d]]`` and
+``n^2 = h^2 I``, where ``h^2 = d^2 + qr``; the eigenvalues are ``a +/- h``.
+So ``e^{t m} = e^{a t} (C I + S n)`` with
 
-* distinct eigenvalues:
-    ``s0(t) = (lam1 e^{lam2 t} - lam2 e^{lam1 t}) / (lam1 - lam2)``
-    ``s1(t) = (e^{lam1 t} - e^{lam2 t}) / (lam1 - lam2)``
-* repeated eigenvalue ``lam``:
-    ``s0(t) = (1 - lam t) e^{lam t}``,  ``s1(t) = t e^{lam t}``
+* ``C = cosh(h t)``, ``S = sinh(h t)/h`` for ``h^2 > 0`` (distinct real),
+* ``C = cos(h t)``, ``S = sin(h t)/h``, ``h = sqrt(-h^2)``, for ``h^2 < 0``
+  (a complex pair ``a +/- ih``),
+* ``C = 1``, ``S = t`` at ``h = 0`` (a repeated eigenvalue).
 
-Complex-conjugate pairs ``a +/- ib`` are evaluated in real arithmetic:
-``s1(t) = e^{a t} sin(b t) / b``, ``s0(t) = e^{a t} (cos(b t) - a sin(b t)/b)``.
+``C`` and ``S`` are smooth in ``h^2``, so this is one formula for every
+eigenvalue kind, with no tolerance to switch between them and no
+``tr^2 - 4 det`` cancellation (Moler and Van Loan 2003, "Nineteen dubious
+ways to compute the exponential of a matrix, twenty-five years later").
 
-One float-level core carries the closed form: :func:`_expm2_rows` takes the
-four entries of a checked matrix and ``t`` and returns the four entries of
-``e^{t m}`` as Python floats.  It classifies the eigenvalues into a plain
-tuple (:func:`_classify`), evaluates ``s0, s1`` once (:func:`_coefficients`)
-and forms each entry with the float operations NumPy applies to
-``s0 * I + s1 * m``, so its bits equal that 2x2 sum, signed zeros included.
-The public names are thin wrappers over it: :func:`eigen2` checks its
-argument and wraps the classification in an :class:`EigenPair2`, and
-:func:`matexp` checks its argument and returns the core's entries as an
-array.  Callers that hold a matrix already checked by :func:`_as_mat2`
-(such as a frozen ``ModelParams.beta``) call the core directly:
-``estimands`` reads its one-step maps as floats, and ``sde`` makes its
-mean map an array of them.
+One float-level core carries it: :func:`_expm2m1_rows` takes the four
+entries of a checked matrix and ``t`` and returns the four entries of
+``e^{t m} - I`` as Python floats, with the diagonal written through
+``expm1(a t)`` and ``C - 1 = +/- 2 sinh^2/sin^2(h t/2)``, so entries near 0
+keep their digits when ``t`` is small.  :func:`_expm2_rows` adds the
+identity; :func:`matexp` checks its argument and returns those entries as
+an array.  Callers that hold a matrix already checked by :func:`_as_mat2`
+(such as a frozen ``ModelParams.beta``) call a core directly:
+``estimands`` reads ``g11 - 1`` of its one-step map from
+:func:`_expm2m1_rows`, and ``sde`` makes its mean map an array of
+:func:`_expm2_rows`.  :func:`eigen2` reads the same ``(a, h^2)`` and only
+labels the eigenvalue kind.  An intermediate beyond the double range
+raises ``OverflowError``, never a silent NaN or inf.
 
 :func:`expm_series` is a truncated-Taylor scaling-and-squaring exponential
 of any real square matrix.  It computes the 4x4 block exponential behind
@@ -47,9 +50,8 @@ __all__ = [
     "expm_series",
 ]
 
-# Relative gap below which a near-repeated eigenvalue pair is collapsed to a
-# single root; the distinct-root formulas lose roughly |gap|^-1 digits to
-# cancellation, so below this the repeated-root branch is more accurate.
+# Relative eigenvalue gap below which eigen2 labels a pair "repeated".  It
+# names the label only: no formula reads it.
 COLLAPSE_RTOL = 1e-9
 
 # Taylor-series order of expm_series: after scaling, ||t*m||_inf <= 1/16,
@@ -87,55 +89,37 @@ class EigenPair2:
 
 
 def eigen2(m) -> EigenPair2:
-    """Eigenvalues of a real 2x2 matrix via the characteristic quadratic.
+    """Eigenvalues ``a +/- h`` of a real 2x2 matrix, from the shifted form
+    ``a = tr/2``, ``h^2 = d^2 + qr`` (:func:`_shifted`).
 
-    Roots of ``lam^2 - tr(m) lam + det(m) = 0``.  Pairs whose gap
-    ``|lam1 - lam2|`` is below ``COLLAPSE_RTOL * max(1, ||m||_inf)`` are
-    collapsed to the repeated root ``tr(m)/2``.
+    Pairs whose gap ``2 |h|`` is below ``COLLAPSE_RTOL * max(1, ||m||_inf)``
+    are labelled repeated, with both values ``a``.  Raises ``OverflowError``
+    when ``h^2`` or an eigenvalue leaves the double range.
     """
     (p, q), (r, s) = _as_mat2(m).tolist()
-    return EigenPair2(*_classify(p, q, r, s))
+    a, _, h2 = _shifted(p, q, r, s)
+    h = math.sqrt(abs(h2))
+    if not math.isfinite(abs(a) + h):
+        raise OverflowError("eigenvalues exceed the double range")
+    if 2.0 * h < COLLAPSE_RTOL * max(1.0, abs(p) + abs(q), abs(r) + abs(s)):
+        return EigenPair2("repeated", a, 0.0, a, 0.0)
+    if h2 > 0.0:
+        return EigenPair2("distinct-real", a + h, 0.0, a - h, 0.0)
+    return EigenPair2("complex-conjugate", a, h, a, -h)
 
 
-def _classify(p: float, q: float, r: float, s: float) -> tuple:
-    """:func:`eigen2` of ``[[p, q], [r, s]]`` as the plain tuple
-    ``(kind, re1, im1, re2, im2)`` of the :class:`EigenPair2` fields."""
-    tr = p + s
-    det = p * s - q * r
-    disc = tr * tr - 4.0 * det
-    # |lam1 - lam2| = sqrt(|disc|) for either sign of the discriminant.
-    gap = math.sqrt(abs(disc))
-    if gap < COLLAPSE_RTOL * max(1.0, abs(p) + abs(q), abs(r) + abs(s)):
-        lam = 0.5 * tr
-        return "repeated", lam, 0.0, lam, 0.0
-    if disc > 0.0:
-        half = 0.5 * math.sqrt(disc)
-        return "distinct-real", 0.5 * tr + half, 0.0, 0.5 * tr - half, 0.0
-    half = 0.5 * math.sqrt(-disc)
-    return "complex-conjugate", 0.5 * tr, half, 0.5 * tr, -half
-
-
-def _coefficients(eig: tuple, t: float) -> tuple[float, float]:
-    """Scalar coefficients of ``e^{t m} = s0 I + s1 m``, always real, from
-    the :func:`_classify` tuple ``eig`` of ``m``."""
-    kind, re1, im1, re2, _ = eig
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
-    if kind == "repeated":
-        e = math.exp(re1 * t)
-        return (1.0 - re1 * t) * e, t * e
-    if kind == "distinct-real":
-        e1, e2 = math.exp(re1 * t), math.exp(re2 * t)
-        d = re1 - re2
-        return (re1 * e2 - re2 * e1) / d, (e1 - e2) / d
-    # complex-conjugate pair re1 +/- i im1, im1 != 0
-    e = math.exp(re1 * t)
-    sin_bt = math.sin(im1 * t) / im1
-    return e * (math.cos(im1 * t) - re1 * sin_bt), e * sin_bt
+def _shifted(p: float, q: float, r: float, s: float) -> tuple[float, float, float]:
+    """``(a, d, h^2)`` of ``m = [[p, q], [r, s]] = a I + n`` with
+    ``n = [[d, q], [r, -d]]``: ``a = tr/2``, ``d = (p - s)/2`` and
+    ``h^2 = d^2 + qr``, so that ``n^2 = h^2 I`` and the eigenvalues are
+    ``a +/- h``.  ``h^2`` is the discriminant ``(tr^2 - 4 det)/4`` without
+    the cancellation of ``tr^2`` against ``4 det``."""
+    d = 0.5 * (p - s)
+    return 0.5 * (p + s), d, d * d + q * r
 
 
 def matexp(m, t: float) -> np.ndarray:
-    """``e^{t m}`` for a real 2x2 matrix, via the closed-form coefficients.
+    """``e^{t m}`` for a real 2x2 matrix, in closed form.
 
     Callers that need the one-step transition map of a drift matrix pass a
     negative ``t`` (the map over a step ``delta`` is ``matexp(beta, -delta)``).
@@ -144,17 +128,53 @@ def matexp(m, t: float) -> np.ndarray:
 
 
 def _expm2_rows(rows, t: float) -> tuple[tuple[float, float], tuple[float, float]]:
-    """``e^{t m}`` of the checked rows ``((p, q), (r, s))`` of ``m``, as
-    rows of Python floats.
+    """``e^{t m} = I + (e^{t m} - I)`` of the checked rows of ``m``, as rows
+    of Python floats: :func:`_expm2m1_rows` plus the identity, entry by
+    entry, so its bits are those of the 2x2 sum ``I + E`` (an off-diagonal
+    ``-0.0`` becomes the identity's ``0.0``)."""
+    (e11, e12), (e21, e22) = _expm2m1_rows(rows, t)
+    return (1.0 + e11, 0.0 + e12), (0.0 + e21, 1.0 + e22)
 
-    Each entry is formed with the float operations NumPy applies to
-    ``s0 * I + s1 * m``, so the bits match that sum, signed zeros
-    included: the off-diagonal of ``s0 * I`` is ``s0 * 0.0``.
+
+def _expm2m1_rows(rows, t: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """``e^{t m} - I`` of the checked rows ``((p, q), (r, s))`` of ``m``, as
+    rows of Python floats, to roundoff of its largest entry.
+
+    The diagonal is ``e^{a t} C - 1 +/- e^{a t} S d``, with
+    ``e^{a t} C - 1 = expm1(a t) C + (C - 1)`` and ``S = t sinh(h t)/(h t)``
+    (or ``sin``), which keeps its digits when ``h t`` is tiny; the
+    off-diagonal is ``e^{a t} S q`` and ``e^{a t} S r``.  For real
+    ``|h t| > 1``, ``e^{a t} C`` and ``e^{a t} S`` come from the two
+    exponentials ``e^{(a +/- h) t}``, so no factor overflows where the
+    product would not; their difference there loses at most a factor
+    ``1/(1 - e^{-2})``.  Raises ``OverflowError`` when an intermediate, the
+    sum of the four entries included, leaves the double range.
     """
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     (p, q), (r, s) = rows
-    s0, s1 = _coefficients(_classify(p, q, r, s), t)
-    zero = s0 * 0.0
-    return (s0 + s1 * p, zero + s1 * q), (zero + s1 * r, s0 + s1 * s)
+    a, d, h2 = _shifted(p, q, r, s)
+    at = a * t
+    h = math.sqrt(abs(h2))
+    x = h * t
+    if not (math.isfinite(at) and math.isfinite(x)):
+        raise OverflowError("matrix exponential exceeds the double range")
+    if h2 >= 0.0 and abs(x) > 1.0:
+        ep, em = math.exp(at + x), math.exp(at - x)
+        ecm1 = 0.5 * (ep + em) - 1.0
+        es = (ep - em) / (2.0 * h)
+    else:
+        if h2 >= 0.0:
+            cm1 = 2.0 * math.sinh(0.5 * x) ** 2
+            c, sx = 1.0 + cm1, math.sinh(x)
+        else:
+            c, cm1, sx = math.cos(x), -2.0 * math.sin(0.5 * x) ** 2, math.sin(x)
+        ecm1 = math.expm1(at) * c + cm1
+        es = math.exp(at) * t * (sx / x if x else 1.0)
+    e11, e12, e21, e22 = ecm1 + es * d, es * q, es * r, ecm1 - es * d
+    if not math.isfinite(e11 + e12 + e21 + e22):
+        raise OverflowError("matrix exponential exceeds the double range")
+    return (e11, e12), (e21, e22)
 
 
 def expm_series(m, t: float) -> np.ndarray:

@@ -1,16 +1,17 @@
-"""Reference routes for the noise covariance, the identification bias,
-``theta_g``, the panel CSV writer, the treatment schedule and its integral,
-and the estimator's plug-in contrast.
+"""Reference routes for the 2x2 exponential, the noise covariance, the
+identification bias, ``theta_g``, ``eta``, the panel CSV writer, the
+treatment schedule and its integral, and the estimator's plug-in contrast.
 
-The package computes each quantity one way: the transition noise
-covariance from Van Loan's block exponential, the bias by direct
-subtraction ``theta_g - eta``, ``theta_g`` in closed form over the runs of
-equal sampled schedule values, each run bound found in O(1), the panel CSV
-from one formatted string per unit, a schedule from one ``(jumps, values)``
+The package computes each quantity one way: ``e^{t m} - I`` of a 2x2
+matrix in closed form, the transition noise covariance from Van Loan's
+block exponential, the bias by direct subtraction ``theta_g - eta``, both
+in double precision, ``theta_g`` in closed form over the runs of equal
+sampled schedule values, each run bound found in O(1), the panel CSV from
+one formatted string per unit, a schedule from one ``(jumps, values)``
 form, its integral by walking the pieces by index, and the plug-in contrast
 by one recursion over the schedule difference.  The routes here compute the
-same numbers (or bytes) another way and exist only to cross-check those.
-"""
+same numbers (or bytes) another way and exist only to cross-check those;
+the decimal ones are exact far below double roundoff."""
 
 import bisect
 import csv
@@ -94,26 +95,46 @@ def identification_bias_expanded(params, plan: TreatmentPlan, J: int) -> float:
 
 def theta_g_exact(params, plan: TreatmentPlan, J: int) -> tuple[Decimal, float]:
     """The recursion ``y = g11 y + g12 w(t_k)`` that defines ``theta_g``, run
-    on the same doubles ``g11``, ``g12``, ``w(t_k)`` and ``E[Y0]`` in 60-digit
-    decimal arithmetic, J steps from ``y = E[Y0]``: exact far below double
-    roundoff.  Returns ``(value, scale)``, where
+    in 60-digit decimal arithmetic J steps from ``y = E[Y0]``, with
+    ``g = e^{-beta T/J}`` from :func:`expm1_taylor` of the exact ``beta``
+    and ``T/J``: exact far below double roundoff, and blind to none of the
+    rounding of ``g`` itself.  Returns ``(value, scale)``, where
     ``scale = |g11^J E[Y0]| + |g12| sum_i |w(t_i)| |g11|^{J-1-i}`` is the sum of
     term magnitudes that roundoff is measured against."""
-    g = matexp(params.beta, -params.horizon / J)
-    g11, g12 = float(g[0, 0]), float(g[0, 1])
+    (e11, e12), _ = expm1_taylor(params.beta, -Fraction(params.horizon) / J)
     y0 = float(params.init_mean[0])
     w = plan.values_at(np.arange(J) * (params.horizon / J)).tolist()
     with decimal.localcontext() as ctx:
         ctx.prec = 60
-        d11 = Decimal(g11)
-        forcing = {v: Decimal(g12) * Decimal(v) for v in set(w)}
+        d11 = 1 + e11
+        forcing = {v: e12 * Decimal(v) for v in set(w)}
         y = Decimal(y0)
         for v in w:
             y = d11 * y + forcing[v]
+    g11, g12 = float(d11), float(e12)
     magnitude = 0.0
     for v in w:
         magnitude = abs(g11) * magnitude + abs(v)
     return y, abs(g11**J * y0) + abs(g12) * magnitude
+
+
+def true_eta_exact(params, plan: TreatmentPlan) -> Decimal:
+    """``eta = e^{-b11 T} E[Y0] - b12 int_0^T w(s) e^{b11 (s - T)} ds`` in
+    60-digit decimal arithmetic, the integral summed over the schedule's
+    constant pieces in closed form."""
+    b11, b12 = (Decimal(float(x)) for x in params.beta[0])
+    horizon = Decimal(float(params.horizon))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        cuts = [Decimal(0), *(Decimal(x) for x in plan.jumps if x < params.horizon), horizon]
+        integral = Decimal(0)
+        for lo, hi, v in zip(cuts, cuts[1:], plan.values):
+            if b11:
+                piece = (((hi - horizon) * b11).exp() - ((lo - horizon) * b11).exp()) / b11
+            else:
+                piece = hi - lo
+            integral += Decimal(v) * piece
+        return (-b11 * horizon).exp() * Decimal(float(params.init_mean[0])) - b12 * integral
 
 
 def theta_g_float64(params, plan: TreatmentPlan, J: int) -> float:
@@ -230,3 +251,44 @@ def contrast_fraction(coef, y0, grid, plan_star, plan_base) -> float:
             y = a + b * y + c * Fraction(w)
         ends.append(y)
     return float(ends[0] - ends[1])
+
+
+def expm1_taylor(m, t, prec: int = 60) -> list[list[Decimal]]:
+    """``e^{t m} - I`` of a 2x2 matrix of doubles in ``prec``-digit decimal
+    arithmetic, from the exact entries of ``m`` and ``t`` (a double, a
+    ``Fraction`` or a ``Decimal``): the Taylor series without its ``I``
+    term, summed until its terms fall below ``10^-(prec + 10)`` of the
+    scaled argument's size, then doubled ``k`` times by
+    ``E(2u) = 2 E(u) + E(u)^2``, which keeps every digit of entries near 0."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = prec
+        ctx.Emax, ctx.Emin = decimal.MAX_EMAX, decimal.MIN_EMIN
+        if isinstance(t, Fraction):
+            t = Decimal(t.numerator) / Decimal(t.denominator)
+        t = Decimal(t)
+        a = [[Decimal(float(x)) * t for x in row] for row in np.asarray(m, dtype=float)]
+        norm = max(abs(a[0][0]) + abs(a[0][1]), abs(a[1][0]) + abs(a[1][1]))
+        k = 0
+        while norm > Decimal("0.5"):
+            norm /= 2
+            k += 1
+        scale = Decimal(2) ** k
+        b = [[x / scale for x in row] for row in a]
+
+        def mul(x, y):
+            return [
+                [x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in range(2)] for i in range(2)
+            ]
+
+        total = [row[:] for row in b]
+        term = b
+        n = 1
+        tiny = Decimal(10) ** -(prec + 10) * max(norm, Decimal(10) ** -prec)
+        while max(abs(x) for row in term for x in row) > tiny:
+            n += 1
+            term = [[x / n for x in row] for row in mul(term, b)]
+            total = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(total, term)]
+        for _ in range(k):
+            sq = mul(total, total)
+            total = [[2 * x + y for x, y in zip(r1, r2)] for r1, r2 in zip(total, sq)]
+        return total

@@ -54,11 +54,11 @@ SMALL_CONFIG = {
 # sha256 of each CSV the three commands write for SMALL_CONFIG.  A change
 # that moves an output byte on purpose updates the digest and says so.
 SMALL_CONFIG_DIGESTS = {
-    "bias_table.csv": "ab60febb35b0a2b98bca04d3981067b0f2d0184d55278db38a9437a59c157403",
+    "bias_table.csv": "fd1d0c4c459e1b5bde38aba7cacb247b40f3065aacb5bcb996623af41f05cdbe",
     "counterfactual.csv": "dfab07f7a3ac763a5a1da8355b9857ccdb87d190e18ed2e794d72cdc0d68d887",
-    "observational.csv": "b369eec81dbe43ffb403c7792fdb8cdc90a4997abd050ae6a6f7bef35d3620b9",
-    "zeta_cells.csv": "c1cd9724142d350d93fb6002992080fef77a58d4bccbf88cb089d5810f0225fe",
-    "zeta_summary.csv": "0c797c7dcc5a1b4d4e8f58de31c44a1683d5af32a797f464cd63ee7a0be68024",
+    "observational.csv": "b108001475e3a269a394de606663855ef3b2052e60daf1bc7f4b8fcd4d8f7c9e",
+    "zeta_cells.csv": "94d97ed9c63aa45dbae377074a89739274cd247a96e138e104750599904d4b27",
+    "zeta_summary.csv": "6fadbf5a9f08d21aded239b5195f61adb8ba466122b8af5f7b65c9b13fbb4aac",
 }
 
 # A bias table of a tabulated plan whose knots fall off every grid (0.137,
@@ -77,7 +77,7 @@ TABULATED_CONFIG = {
         "j_values": [1, 2, 3, 7, 10, 64, 100, 1000, 4096, 16384],
     },
 }
-TABULATED_BIAS_TABLE_DIGEST = "f3b7e5e699158a3d29581590a722a447b6afe1af0f13bd88007666dae9a93b67"
+TABULATED_BIAS_TABLE_DIGEST = "081895551fe6959e5e2883af46ff3ba1760122e2d89a96f49ee5e3092da5089c"
 
 # SMALL_CONFIG with a model section and plans whose list fields are not
 # empty, so that every typed field below has an entry to corrupt.
@@ -423,6 +423,16 @@ class TestCliExitCodes:
         code = main(["bias-table", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 3
         assert "numerical failure: math range error" in capsys.readouterr().err
+
+    def test_drift_beyond_the_double_range_is_exit_3(self, tmp_path, capsys):
+        # (p - s)^2 / 4 overflows in the 2x2 exponential at beta11 = 1e200.
+        sweep = {"beta11": [1e200], "beta21": [0.0], "beta12": [1.0], "j_values": [2]}
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump({"bias_table": sweep}))
+        code = main(["bias-table", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: matrix exponential exceeds the double range" in err
 
     def test_large_positive_beta11_is_finite(self, tmp_path):
         # rate (hi - lo) = 800 in eta's integral, past where e^{800} overflows,

@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import math
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from gridbias import (
     true_eta,
 )
 from gridbias import estimands
+from gridbias.cli import _swept_params
+from gridbias.config import load_config
 from gridbias.estimands import _sample_runs
 from tests.conftest import make_params
 from tests.oracles import (
@@ -30,6 +34,7 @@ from tests.oracles import (
     sample_runs_searchsorted,
     theta_g_exact,
     theta_g_float64,
+    true_eta_exact,
 )
 
 # 40-digit evaluations of the closed forms for the reference cell
@@ -38,23 +43,26 @@ ETA_REF = 5.3504619261284353919
 PLAN_INTEGRAL_REF = 0.90634623461009070665
 NAIVE_LIMIT_REF = 17.656577785683557583
 
-# Bias of the reference cell over a J-doubling ladder, frozen from the
-# closed-form evaluation; guards against silent regressions in theta_g.
+# Bias of the reference cell over a J-doubling ladder, from the decimal
+# oracles (``theta_g_exact - true_eta_exact``, exact beta), each rounded
+# once to a double; guards against silent regressions in theta_g.
 DOUBLING_TABLE = (
-    (2, 19.215298716929617),
-    (4, 8.472678713144282),
-    (8, 3.516998618298503),
-    (16, 1.547826875473274),
-    (32, 0.7211853407945279),
-    (64, 0.34764346849240013),
-    (128, 0.17062674223879615),
-    (256, 0.08452065629768235),
-    (512, 0.04206294733841798),
-    (1024, 0.020982230846539274),
-    (2048, 0.010478817677597618),
-    (4096, 0.0052363360304354956),
+    (2, 19.21529871692962),
+    (4, 8.47267871314428),
+    (8, 3.5169986182985045),
+    (16, 1.5478268754732893),
+    (32, 0.7211853407945488),
+    (64, 0.34764346849241123),
+    (128, 0.17062674223886676),
+    (256, 0.08452065629764706),
+    (512, 0.042062947338472476),
+    (1024, 0.020982230847315927),
+    (2048, 0.010478817678128803),
+    (4096, 0.005236336032733693),
 )
 
+# One ulp of 1.
+EPS = 2.0**-52
 # theta_g against the exact recursion, relative to its summed term
 # magnitudes (``tests.oracles.theta_g_exact``).
 THETA_G_RTOL = 1e-14
@@ -466,6 +474,54 @@ class TestThetaG:
             theta_g(params, TreatmentPlan.constant(value, horizon=1.0), J)
 
 
+# Drifts with a repeated eigenvalue 0.5 split by 2e-9 (real) and by about
+# 2.8e-6 i (complex); the three-branch exponential put delta at J=16384
+# off by 6.4 and 9.3e-3 times its own value there.
+NEAR_REPEAT_DRIFTS = ([[0.5, -2.0], [0.0, 0.5 + 2e-9]], [[0.5, -2.0], [-1e-12, 0.5]])
+DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
+
+
+def _delta_errors(params, plan, J) -> tuple[float, Decimal, float]:
+    """``(error, exact, roundoff)`` of :func:`identification_bias` against
+    the decimal oracles, with ``roundoff = |theta_g| + |eta|``."""
+    exact = theta_g_exact(params, plan, J)[0] - true_eta_exact(params, plan)
+    got = identification_bias(params, plan, J)
+    roundoff = abs(theta_g(params, plan, J)) + abs(true_eta(params, plan))
+    return float(abs(Decimal(got) - exact)), exact, roundoff
+
+
+class TestDeltaAccuracy:
+    """``delta = theta_g - eta`` is exact to roundoff of ``|theta_g| + |eta|``
+    at every J: no digit of ``g11`` is raised to the J-th power, and no
+    eigenvalue gap cancels."""
+
+    @pytest.mark.parametrize("beta", NEAR_REPEAT_DRIFTS)
+    def test_near_repeated_eigenvalues(self, beta, ref_params, plan_one):
+        params = dataclasses.replace(ref_params, beta=np.array(beta))
+        for J in (2, 40, 1024, 16384):
+            error, exact, roundoff = _delta_errors(params, plan_one, J)
+            assert error <= 8 * EPS * roundoff, J
+        assert error <= 1e-10 * float(abs(exact))
+
+    def test_default_bias_table(self):
+        cfg = load_config(DEFAULT_CONFIG)
+        base = cfg.model.to_params()
+        plan = cfg.plan_star.to_plan(base.horizon, "plan_star")
+        bt = cfg.bias_table
+        for b11, b21, b12 in itertools.product(bt.beta11, bt.beta21, bt.beta12):
+            params = _swept_params(base, b11, b21, b12)
+            for J in bt.j_values:
+                error, exact, roundoff = _delta_errors(params, plan, J)
+                assert error <= 8 * EPS * roundoff, (b11, b21, b12, J)
+            # At the table's largest J, 16384.  On (1, -3, 1), delta is
+            # 1.6e-7 and 1e-10 of it is about half an ulp of |theta_g| + |eta|
+            # (5.1e-11 measured; the three-branch route read 4.2e-7).
+            if b12 == 0.0:
+                assert identification_bias(params, plan, J) == 0.0
+            else:
+                assert error <= 1e-10 * float(abs(exact)), (b11, b21, b12)
+
+
 class TestBiasForms:
     def test_direct_and_expanded_agree_on_random_configurations(self):
         rng = np.random.default_rng(410)
@@ -570,7 +626,8 @@ DRIFT_OF_KIND = {
 
 class TestOneStepMapBits:
     """The one-step maps the closed forms read are the rows of
-    :func:`matexp`, bit for bit."""
+    :func:`matexp`, bit for bit: ``theta_g`` reads ``e^{t m} - I`` from the
+    core under it, and adding the identity row gives ``matexp``'s row."""
 
     @pytest.fixture(params=list(DRIFT_OF_KIND), ids=list(DRIFT_OF_KIND))
     def params(self, request, ref_params):
@@ -584,24 +641,27 @@ class TestOneStepMapBits:
         return p
 
     @staticmethod
-    def first_rows(monkeypatch, call) -> list[bytes]:
-        """The first row of every map ``call`` takes from the float core."""
-        core = estimands._expm2_rows
+    def first_rows(monkeypatch, call, core="_expm2_rows") -> list[bytes]:
+        """The first row of every map ``call`` takes from the float core
+        ``estimands.<core>``."""
+        wrapped = getattr(estimands, core)
         rows = []
 
         def spy(m, t):
-            out = core(m, t)
+            out = wrapped(m, t)
             rows.append(np.array(out[0]).tobytes())
             return out
 
-        monkeypatch.setattr(estimands, "_expm2_rows", spy)
+        monkeypatch.setattr(estimands, core, spy)
         call()
         return rows
 
     def test_theta_g(self, params, monkeypatch):
         plan = TreatmentPlan.constant(1.0, 0.7)
-        got = self.first_rows(monkeypatch, lambda: theta_g(params, plan, 14))
-        assert got == [matexp(params.beta, -0.7 / 14)[0].tobytes()]
+        got = self.first_rows(monkeypatch, lambda: theta_g(params, plan, 14), "_expm2m1_rows")
+        assert len(got) == 1
+        row = np.array([1.0, 0.0]) + np.frombuffer(got[0])
+        assert row.tobytes() == matexp(params.beta, -0.7 / 14)[0].tobytes()
 
     def test_theta_naive(self, params, monkeypatch):
         plan = TreatmentPlan.constant(1.0, 0.7)

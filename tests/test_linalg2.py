@@ -1,18 +1,21 @@
+import dataclasses
+import decimal
 import math
-from dataclasses import astuple
+import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from gridbias import EigenPair2, eigen2, expm_series, linalg2, matexp
+from gridbias import EigenPair2, eigen2, expm_series, linalg2, matexp, theta_naive_limit
+from tests.oracles import expm1_taylor
 
 # Reference values computed once with a 40-digit arbitrary-precision
 # evaluation of the defining formulas (characteristic quadratic, scalar
 # exponentials, and a high-precision matrix exponential).
 FIG_BETA = np.array([[0.2, -5.0], [-3.0, 0.5]])
 FIG_EIGS = (4.2258869952566986573, -3.5258869952566986573)
-S0S1_DISTINCT_REF = (0.96019748198821414871, -0.70733364455116145022)
 EXPM_QUARTER_REF = np.array(
     [
         [1.4210583045116747384, 1.333094984219497703],
@@ -75,39 +78,151 @@ class TestEigen2:
             assert l2 == l1.conjugate()
 
 
-class TestS0S1:
-    def test_t_zero_is_identity_coefficients(self):
-        for m in (np.diag([0.2, 0.5]), FIG_BETA, np.zeros((2, 2))):
-            assert linalg2._coefficients(astuple(eigen2(m)), 0.0) == (1.0, 0.0)
+# One ulp of 1.
+EPS = 2.0**-52
 
-    def test_repeated_zero_eigenvalue(self):
-        eig = ("repeated", 0.0, 0.0, 0.0, 0.0)
-        assert linalg2._coefficients(eig, 2.0) == (1.0, 2.0)
+# Drift entries at most 5 in size, and near-repeated eigenvalue gaps from
+# 1e-12 to 1e-3, exactly repeated ones (gap 0) included.
+ENTRY = st.floats(-5.0, 5.0)
+GAP = st.sampled_from([0.0]) | st.builds(
+    lambda sign, u: sign * 10.0**u, st.sampled_from([1.0, -1.0]), st.floats(-12.0, -3.0)
+)
 
-    def test_distinct_reference_values(self):
-        eig = ("distinct-real", 0.2, 0.0, 0.5, 0.0)
-        s0, s1 = linalg2._coefficients(eig, -1.0)
-        assert s0 == pytest.approx(S0S1_DISTINCT_REF[0], abs=1e-15)
-        assert s1 == pytest.approx(S0S1_DISTINCT_REF[1], abs=1e-15)
 
-    def test_branch_continuity_at_collapse(self):
-        # Branches must agree to 1e-6 when the eigenvalue gap is 1e-6.
-        gap = 1e-6
-        for lam in (-2.0, -0.5, 0.0, 1.0, 2.0):
-            for t in (-2.0, -0.7, 0.3, 2.0):
-                distinct = linalg2._coefficients(("distinct-real", lam + gap, 0.0, lam, 0.0), t)
-                repeated = linalg2._coefficients(
-                    ("repeated", lam + gap / 2, 0.0, lam + gap / 2, 0.0), t
-                )
-                assert distinct[0] == pytest.approx(repeated[0], abs=1e-6)
-                assert distinct[1] == pytest.approx(repeated[1], abs=1e-6)
+@st.composite
+def drifts(draw) -> list[list[float]]:
+    """A 2x2 matrix of one family: triangular with an exact or near repeat
+    (a Jordan block at gap 0), a Jordan block with a tiny entry below it
+    (a near repeat, real or complex), a complex pair, or a box draw."""
+    kind = draw(st.sampled_from(["upper", "lower", "jordan", "complex", "box"]))
+    lam, q, gap = draw(ENTRY), draw(ENTRY), draw(GAP)
+    if kind == "upper":
+        return [[lam + gap, q], [0.0, lam]]
+    if kind == "lower":
+        return [[lam, 0.0], [q, lam + gap]]
+    if kind == "jordan":
+        return [[lam, q], [gap, lam]]
+    if kind == "complex":
+        b, c = draw(st.floats(0.01, 5.0)), draw(st.floats(0.01, 5.0))
+        return [[lam, -b], [c, lam + gap]]
+    return [[lam, q], [draw(ENTRY), draw(ENTRY)]]
 
-    def test_complex_branch_is_real_arithmetic(self):
-        eig = eigen2(np.array([[0.0, 2.0], [-2.0, 0.0]]))
-        s0, s1 = linalg2._coefficients(astuple(eig), 0.5)
-        # For eigenvalues +/- 2i: s1 = sin(2t)/2, s0 = cos(2t).
-        assert s1 == pytest.approx(math.sin(1.0) / 2.0, abs=1e-15)
-        assert s0 == pytest.approx(math.cos(1.0), abs=1e-15)
+
+# Steps from 1/16384 to 1, either sign.
+STEP = st.builds(
+    lambda sign, u: sign * 2.0**u, st.sampled_from([1.0, -1.0]), st.floats(-14.0, 0.0)
+)
+
+
+def conditioning(m, t) -> float:
+    """``1 + |a t| + |h t|``: the factor by which rounding the arguments of
+    the exponentials alone enlarges the core's error."""
+    a, _, h2 = linalg2._shifted(*m[0], *m[1])
+    return 1.0 + abs(a * t) + math.sqrt(abs(h2)) * abs(t)
+
+
+def oracle_error(m, t) -> float:
+    """The core's largest entry error in ``e^{t m} - I`` against the decimal
+    oracle, relative to the largest exact entry or the smallest normal
+    double, whichever is larger."""
+    # An angle h t of 10^k needs k more digits than one of size 1.
+    prec = 60 + math.ceil(math.log10(conditioning(m, t)))
+    exact = expm1_taylor(m, t, prec=prec)
+    got = linalg2._expm2m1_rows(m, t)
+    with decimal.localcontext(Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN, prec=prec):
+        error = max(abs(Decimal(got[i][j]) - exact[i][j]) for i in range(2) for j in range(2))
+        largest = max(abs(x) for row in exact for x in row)
+        return float(error / max(largest, Decimal(sys.float_info.min)))
+
+
+class TestExpm2m1:
+    """The one core, ``e^{t m} - I``, for every eigenvalue kind."""
+
+    def test_t_zero_is_exact_zero(self):
+        for m in (np.diag([0.2, 0.5]), FIG_BETA, np.zeros((2, 2)), [[2.0, 1.0], [0.0, 2.0]],
+                  [[0.0, 2.0], [-2.0, 0.0]]):
+            got = linalg2._expm2m1_rows(np.asarray(m, dtype=float).tolist(), 0.0)
+            assert got == ((0.0, 0.0), (0.0, 0.0))
+
+    def test_nilpotent_is_exact(self):
+        # h = 0 and a = 0: e^{t m} - I = t m with no rounding at all.
+        assert linalg2._expm2m1_rows([[0.0, 3.0], [0.0, 0.0]], 2.0) == ((0.0, 6.0), (0.0, 0.0))
+        assert linalg2._expm2m1_rows([[1.0, 1.0], [-1.0, -1.0]], 0.5) == ((0.5, 0.5), (-0.5, -0.5))
+
+    def test_rotation_generator_is_real_arithmetic(self):
+        # Eigenvalues +/- 2i: e^{t m} - I = [[cos 2t - 1, sin 2t], [-sin 2t, cos 2t - 1]].
+        (c11, s12), (s21, c22) = linalg2._expm2m1_rows([[0.0, 2.0], [-2.0, 0.0]], 0.5)
+        assert c11 == c22 == pytest.approx(math.cos(1.0) - 1.0, rel=2 * EPS)
+        assert s12 == -s21 == pytest.approx(math.sin(1.0), rel=2 * EPS)
+
+    @given(m=drifts(), t=STEP)
+    @example(m=[[0.5, -2.0], [0.0, 0.5 + 2e-9]], t=-1.0 / 16384)
+    @example(m=[[0.5, -2.0], [-1e-12, 0.5]], t=-1.0 / 16384)
+    @example(m=[[0.5, -2.0], [0.0, 0.5 + 1e-6]], t=-1.0)
+    @example(m=[[1.0, 1.0], [-3.0, 0.5]], t=-1.0 / 16384)
+    def test_within_ulps_of_decimal_oracle(self, m, t):
+        # Within 4 ulps of the largest entry, times the conditioning factor
+        # (at most 13 on this domain).  The three-branch route it replaced
+        # read up to 9.2e-5 of the largest entry at a gap of 2e-9.
+        assert oracle_error(m, t) <= 4 * EPS * conditioning(m, t)
+
+    @given(
+        entries=st.lists(
+            st.sampled_from([0.0])
+            | st.builds(
+                lambda sign, u: sign * 10.0**u,
+                st.sampled_from([1.0, -1.0]),
+                st.floats(-300.0, 300.0),
+            ),
+            min_size=4,
+            max_size=4,
+        ),
+        t=st.builds(
+            lambda sign, u: sign * 10.0**u, st.sampled_from([1.0, -1.0]), st.floats(-300.0, 2.0)
+        ),
+    )
+    @example(entries=[1e200, 0.0, 0.0, 1.0], t=-1.0)
+    @example(entries=[1.0, 1e300, 1e300, 1.0], t=-1.0)
+    @example(entries=[1e300, 0.0, 0.0, 1e300], t=-1e-300)
+    @example(entries=[-1e300, 0.0, 0.0, -1e-300], t=1.0)
+    @example(entries=[0.0, 1e300, -1e-300, 0.0], t=3.0)
+    @example(entries=[0.0, 1e9, -1e300, 0.0], t=1.0)
+    def test_finite_and_accurate_or_raises(self, entries, t):
+        m = [entries[:2], entries[2:]]
+        try:
+            got = linalg2._expm2m1_rows(m, t)
+        except OverflowError:
+            return
+        assert all(math.isfinite(x) for row in got for x in row)
+        bound = 4 * EPS * conditioning(m, t)
+        if bound < 1.0:  # where the bound says anything at all
+            assert oracle_error(m, t) <= bound
+
+    def test_entry_beyond_the_double_range_raises(self):
+        # Every intermediate is finite but e^{a t} S q, about 1.3e309.
+        with pytest.raises(OverflowError):
+            matexp([[0.0, 1e308], [0.0, 0.5]], 4.0)
+
+    @pytest.mark.parametrize("t", [1.0, 10.0])
+    def test_no_overflow_between_factors(self, t):
+        # e^{tm} = [[1, (1 - e^{-2000 t})/2000], [0, e^{-2000 t}]]: cosh(h t) and
+        # sinh(h t) overflow at h t = 1000 t, though e^{a t} times them does not.
+        got = linalg2._expm2m1_rows([[0.0, 1.0], [0.0, -2000.0]], t)
+        assert got == ((0.0, 1.0 / 2000.0), (0.0, -1.0))
+
+    @pytest.mark.parametrize(
+        "m",
+        [[[1e200, 0.0], [0.0, 1.0]], [[1.0, 1e300], [1e300, 1.0]], [[0.0, 1e200], [-1e200, 0.0]]],
+    )
+    def test_out_of_range_intermediates_raise(self, m, ref_params):
+        # The first two returned all-NaN arrays, and eigen2 returned inf and
+        # -inf; in the third, h^2 = -inf would reach cos(inf) (ValueError).
+        with pytest.raises(OverflowError):
+            matexp(m, -1.0)
+        with pytest.raises(OverflowError):
+            eigen2(m)
+        with pytest.raises(OverflowError):
+            theta_naive_limit(dataclasses.replace(ref_params, beta=np.array(m)))
 
 
 class TestMatexp:
@@ -167,13 +282,10 @@ class TestMatexp:
     @example([0.2, -0.0, 3.0, 0.5], -0.25)
     @example([-1.0, 0.0, 0.0, -1.0], 0.5)
     def test_both_routes_give_the_same_bits(self, entries, t):
-        # Both routes equal s0 I + s1 m, formed as the full 2x2 sum, to the
-        # bit: the public one and the float core under it.
+        # Both routes equal I + (e^{t m} - I), formed as the full 2x2 sum,
+        # to the bit: the public one and the float core under it.
         m = np.array(entries).reshape(2, 2)
-        eig = eigen2(m)
-        assert isinstance(eig, EigenPair2)
-        s0, s1 = linalg2._coefficients(astuple(eig), t)
-        want = s0 * np.eye(2) + s1 * m
+        want = np.eye(2) + np.array(linalg2._expm2m1_rows(m.tolist(), t))
         assert matexp(m, t).tobytes() == want.tobytes()
         assert np.array(linalg2._expm2_rows(m.tolist(), t)).tobytes() == want.tobytes()
 
