@@ -10,7 +10,13 @@ flag values override the config file, which overrides built-in defaults):
 * ``zeta``        -- the grid-halving sensitivity sweep, one row per
   (beta12, J, replicate) plus a per-cell median summary.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success; 2 configuration error (a ``ConfigError``, or an
+``OSError`` creating or writing the outputs); 3 numerical failure, which is
+any ``ArithmeticError``: a value beyond the double range, a rank-deficient
+fit or too many failed bootstrap replicates.  The run goes inside
+``np.errstate(over="raise", invalid="raise")``, so a NumPy overflow or
+invalid operation is one too.  Any other exception is a bug and ends in a
+traceback (exit 1).
 
 Every command runs in the calling process and thread.  ``--threads`` and
 the config's ``threads`` are still accepted and validated, so existing
@@ -37,7 +43,7 @@ from .estimands import (
     theta_naive_limit,
     true_eta,
 )
-from .estimation import BootstrapFailureError, zeta
+from .estimation import zeta
 from .sde import Grid, ModelParams, simulate_counterfactual, simulate_panel, write_panel_csv
 
 __all__ = ["main", "cmd_bias_table", "cmd_simulate", "cmd_zeta", "derive_seed"]
@@ -211,19 +217,16 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _resolve_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    out_dir = Path(cfg.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "bias-table":
-            paths = [cmd_bias_table(cfg, out_dir)]
-        elif args.command == "simulate":
-            paths = list(cmd_simulate(cfg, out_dir))
-        else:
-            paths = list(cmd_zeta(cfg, out_dir))
+        with np.errstate(over="raise", invalid="raise"):
+            cfg = _resolve_config(args)
+            out_dir = Path(cfg.out_dir)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            if args.command == "bias-table":
+                paths = [cmd_bias_table(cfg, out_dir)]
+            elif args.command == "simulate":
+                paths = list(cmd_simulate(cfg, out_dir))
+            else:
+                paths = list(cmd_zeta(cfg, out_dir))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -231,13 +234,7 @@ def main(argv=None) -> int:
         # The output directory or a file in it cannot be created or written.
         print(f"config error: out_dir: {exc}", file=sys.stderr)
         return 2
-    except (
-        BootstrapFailureError,
-        FloatingPointError,
-        np.linalg.LinAlgError,
-        OverflowError,
-        ValueError,
-    ) as exc:
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     for path in paths:

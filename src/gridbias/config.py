@@ -17,6 +17,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import math
+import re
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import yaml
@@ -264,7 +265,18 @@ def _require_distinct(values, key: str) -> None:
         _require(v not in values[:i], f"{key}[{i}]: repeats {v!r}")
 
 
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+class _LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader, reading an exponent float such as ``5e-2``, ``1E5``
+    or JSON's ``1e-05`` as a float, as YAML 1.2 and JSON do; the YAML 1.1
+    resolver of PyYAML wants a dot and a signed exponent.  A quoted
+    ``"5e-2"`` stays a string."""
+
+
+_LOADER.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -272,7 +284,8 @@ def load_config(path) -> ExperimentConfig:
 
     The file is parsed by ``yaml.CSafeLoader`` (libyaml), or by
     ``yaml.SafeLoader`` when PyYAML was built without libyaml; both accept
-    the same safe YAML and give the same values.
+    the same safe YAML and give the same values.  Either reads exponent
+    floats the YAML 1.2 way (:class:`_LOADER`).
     """
     try:
         # Read as bytes, so that the YAML reader reports an undecodable byte.

@@ -73,12 +73,12 @@ DESIGN_FAILURES = (
 )
 
 
-class DegenerateDesignError(ValueError):
+class DegenerateDesignError(ArithmeticError):
     """The pooled regression design is rank deficient (e.g. a constant
     treatment column); coefficients are not identifiable."""
 
 
-class BootstrapFailureError(RuntimeError):
+class BootstrapFailureError(ArithmeticError):
     """Too many bootstrap replicates had rank-deficient designs."""
 
 

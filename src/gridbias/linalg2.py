@@ -30,10 +30,9 @@ labels the eigenvalue kind.  An intermediate beyond the double range
 raises ``OverflowError``, never a silent NaN or inf.
 
 :func:`expm_series` is a truncated-Taylor scaling-and-squaring exponential
-of any real square matrix.  It computes the 4x4 block exponential behind
-the transition noise covariance, and, sharing no code with the closed-form
-path, it is also the independent check of :func:`matexp`.
-All functions are pure and safe for concurrent use.
+of any real square matrix.  No computation of the package calls it: sharing
+no code with the closed-form path, it is the independent check of
+:func:`matexp`.  All functions are pure and safe for concurrent use.
 """
 
 from __future__ import annotations

@@ -4,10 +4,11 @@ The observable state ``X_t = (Y_t, W_t)`` solves
 ``dX = -beta X dt + sigma dB`` with a Gaussian initial law.  Over a step of
 length ``delta`` the transition is Gaussian with mean map ``e^{-beta delta}``
 (the closed-form 2x2 exponential) and covariance
-``int_0^delta e^{-beta u} sigma sigma' e^{-beta' u} du`` (one 4x4 block
-exponential, Van Loan's formula), so panels are sampled from the exact
-transition law: the marginal distribution at every grid time is exact
-regardless of step size, and any simulation bias is zero by construction.
+``int_0^delta e^{-beta u} sigma sigma' e^{-beta' u} du`` (a Taylor sum
+over a short step, doubled up to ``delta`` with the closed-form
+exponential), so panels are sampled from the exact transition law: the
+marginal distribution at every grid time is exact regardless of step size,
+and any simulation bias is zero by construction.
 
 The counterfactual outcome under a deterministic schedule ``w`` solves
 ``dY = -(b11 Y + b12 w_t) dt + s11 dB1 + s12 dB2`` and is sampled the same
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimands import TreatmentPlan, _require_plan_covers, plan_integral
-from .linalg2 import _as_mat2, _expm2_rows, expm_series
+from .linalg2 import _as_mat2, _expm2_rows
 
 __all__ = [
     "ModelParams",
@@ -47,7 +48,15 @@ __all__ = [
     "read_panel_csv",
 ]
 
-PSD_EIG_FLOOR = -1e-12
+# A covariance may be asymmetric, or have an eigenvalue below zero, by this
+# much of its largest |entry|: roundoff, not a defect, at every scale.
+COV_RTOL = 1e-12
+
+# Taylor terms of the noise covariance over the scaled step: there the sum
+# of ``|beta|``'s entries times the step is at most 1/16, so term ``k`` is
+# at most ``8^-k/(k+1)!`` of the first, and the first term left out is
+# below 2.5e-19 of it.
+COV_TAYLOR_TERMS = 11
 
 PANEL_CSV_HEADER = ("unit", "k", "t", "Y", "W")
 
@@ -87,10 +96,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _checked_cov(m, name: str) -> np.ndarray:
+    """``m`` checked to be symmetric PSD to within ``COV_RTOL`` of its
+    largest |entry|, so the check reads the same at every scale."""
     cov = _as_mat2(m, name)
-    if np.max(np.abs(cov - cov.T)) > 1e-12:
-        raise ValueError(f"{name} must be symmetric (within 1e-12)")
-    if np.min(np.linalg.eigvalsh(cov)) < PSD_EIG_FLOOR:
+    tol = COV_RTOL * np.max(np.abs(cov))
+    if abs(cov[0, 1] - cov[1, 0]) > tol:
+        raise ValueError(f"{name} must be symmetric (within {COV_RTOL} of its largest entry)")
+    if np.min(np.linalg.eigvalsh(cov)) < -tol:
         raise ValueError(f"{name} must be positive semidefinite")
     return _frozen(cov)
 
@@ -158,22 +170,60 @@ class TransitionLaw:
 def transition_law(params: ModelParams, delta: float) -> TransitionLaw:
     """Exact transition law of the observable process over a step ``delta``.
 
-    The mean map is ``e^{-beta delta}``.  The noise covariance
+    The mean map is ``e^{-beta delta}``, and the noise covariance
     ``C = int_0^delta e^{-beta u} D e^{-beta' u} du`` (``D = sigma sigma'``)
-    comes from one block exponential (Van Loan 1978, "Computing integrals
-    involving the matrix exponential"): with
-    ``F = exp([[beta, D], [0, -beta']] delta)``, ``C = F22' F12``.  The
-    formula holds for every drift, singular or not.
+    comes from :func:`_noise_cov`.  Both hold for every drift, singular or
+    not, and raise ``OverflowError`` beyond the double range.
     """
     if not (math.isfinite(delta) and delta > 0):
         raise ValueError("delta must be a positive finite number")
-    d = params.sigma @ params.sigma.T
-    block = np.block([[params.beta, d], [np.zeros((2, 2)), -params.beta.T]])
-    f = expm_series(block, delta)
-    cov = f[2:, 2:].T @ f[:2, 2:]
-    cov = 0.5 * (cov + cov.T)
-    mean_map = np.array(_expm2_rows(params.beta.tolist(), -delta))
-    return TransitionLaw(mean_map=mean_map, noise_cov=cov)
+    rows = params.beta.tolist()
+    (s11, s12), (s21, s22) = params.sigma.tolist()
+    d = (s11 * s11 + s12 * s12, s11 * s21 + s12 * s22, s21 * s21 + s22 * s22)
+    mean_map = np.array(_expm2_rows(rows, -delta))
+    return TransitionLaw(mean_map=mean_map, noise_cov=np.array(_noise_cov(rows, d, delta)))
+
+
+def _noise_cov(rows, d, delta: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """``C(delta) = int_0^delta e^{-beta u} D e^{-beta' u} du`` for the
+    checked rows of ``beta`` and ``D = (d11, d12, d22)``, as rows of Python
+    floats.
+
+    The step is halved ``s`` times to ``h``, until the sum of ``|beta|``'s
+    entries times ``h`` is at most 1/16.  There ``C(h)`` is the Taylor sum
+    ``sum_k h^{k+1}/(k+1)! L^k(D)`` with ``L(X) = -(beta X + X beta')``,
+    and ``C(2h) = C(h) + E C(h) E'`` with ``E = e^{-beta h}`` from
+    :func:`gridbias.linalg2._expm2_rows` doubles it back to ``delta``.  Both
+    terms of a doubling are PSD, so nothing cancels, and no factor
+    ``e^{+beta u}`` appears: the result keeps its digits for stiff drifts
+    too.  Raises ``OverflowError`` when it leaves the double range.
+    """
+    (p, q), (r, s) = rows
+    _, e = math.frexp((abs(p) + abs(q) + abs(r) + abs(s)) * delta)
+    squarings = max(0, e + 4)
+    h = math.ldexp(delta, -squarings)
+    t11, t12, t22 = (h * x for x in d)
+    c11, c12, c22 = t11, t12, t22
+    for k in range(2, COV_TAYLOR_TERMS + 1):
+        f = -h / k
+        t11, t12, t22 = (
+            2.0 * f * (p * t11 + q * t12),
+            f * (p * t12 + q * t22 + r * t11 + s * t12),
+            2.0 * f * (r * t12 + s * t22),
+        )
+        c11, c12, c22 = c11 + t11, c12 + t12, c22 + t22
+    for i in range(squarings):
+        (e11, e12), (e21, e22) = _expm2_rows(rows, -math.ldexp(h, i))
+        f11, f12 = e11 * c11 + e12 * c12, e11 * c12 + e12 * c22
+        f21, f22 = e21 * c11 + e22 * c12, e21 * c12 + e22 * c22
+        c11, c12, c22 = (
+            c11 + (f11 * e11 + f12 * e12),
+            c12 + (f11 * e21 + f12 * e22),
+            c22 + (f21 * e21 + f22 * e22),
+        )
+    if not all(map(math.isfinite, (c11, c12, c22))):
+        raise OverflowError("transition noise covariance exceeds the double range")
+    return (c11, c12), (c12, c22)
 
 
 def _psd_sqrt(cov: np.ndarray) -> np.ndarray:

@@ -3,8 +3,8 @@ identification bias, ``theta_g``, ``eta``, the panel CSV writer, the
 treatment schedule and its integral, and the estimator's plug-in contrast.
 
 The package computes each quantity one way: ``e^{t m} - I`` of a 2x2
-matrix in closed form, the transition noise covariance from Van Loan's
-block exponential, the bias by direct subtraction ``theta_g - eta``, both
+matrix in closed form, the transition noise covariance by doubling a
+short-step Taylor sum, the bias by direct subtraction ``theta_g - eta``, both
 in double precision, ``theta_g`` in closed form over the runs of equal
 sampled schedule values, each run bound found in O(1), the panel CSV from
 one formatted string per unit, a schedule from one ``(jumps, values)``

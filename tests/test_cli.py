@@ -9,13 +9,14 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import gridbias
 from gridbias import (
@@ -27,7 +28,7 @@ from gridbias import (
     true_eta,
     zeta,
 )
-from gridbias import config
+from gridbias import cli, config
 from gridbias.cli import derive_seed, main
 from gridbias.config import ConfigError, ExperimentConfig, load_config
 
@@ -56,9 +57,9 @@ SMALL_CONFIG = {
 SMALL_CONFIG_DIGESTS = {
     "bias_table.csv": "fd1d0c4c459e1b5bde38aba7cacb247b40f3065aacb5bcb996623af41f05cdbe",
     "counterfactual.csv": "dfab07f7a3ac763a5a1da8355b9857ccdb87d190e18ed2e794d72cdc0d68d887",
-    "observational.csv": "b108001475e3a269a394de606663855ef3b2052e60daf1bc7f4b8fcd4d8f7c9e",
-    "zeta_cells.csv": "94d97ed9c63aa45dbae377074a89739274cd247a96e138e104750599904d4b27",
-    "zeta_summary.csv": "6fadbf5a9f08d21aded239b5195f61adb8ba466122b8af5f7b65c9b13fbb4aac",
+    "observational.csv": "df6c3360abf16a4389f05f7d239e2c1f310de41cbe3280bd7bb67b6efa66357a",
+    "zeta_cells.csv": "752003a3f431fa2ddaa19ad5c9bf1c9ddf6a14e33ec7e76ac6b5357f94427248",
+    "zeta_summary.csv": "6dec5c31ffa396f631fb07462bf0cf393e51c0cf53409fc4489e242116fd218a",
 }
 
 # A bias table of a tabulated plan whose knots fall off every grid (0.137,
@@ -132,6 +133,16 @@ def int_spelled(value):
     return int(value) if value.is_integer() else value
 
 
+def leaf_paths(node, path=()):
+    """``(path, leaf)`` of every leaf of a nested config dict."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield from leaf_paths(value, (*path, key))
+    else:
+        yield path, node
+
+
 def flat_leaves(value) -> list:
     if isinstance(value, list):
         return [leaf for v in value for leaf in flat_leaves(v)]
@@ -164,9 +175,11 @@ class TestConfig:
 
     @pytest.mark.parametrize("source", ["default.yaml", "small", "json"])
     def test_values_match_the_pure_python_loader(self, tmp_path, source):
-        # load_config parses with libyaml where PyYAML has it; every value,
-        # type included, must be what PyYAML's own SafeLoader gives.  The
-        # "json" config is written the way bench/run.py writes its configs.
+        # load_config parses with libyaml where PyYAML has it; on a config
+        # without exponent floats (which only load_config reads as floats)
+        # every value, type included, must be what PyYAML's own SafeLoader
+        # gives.  The "json" config is written the way bench/run.py writes
+        # its configs.
         if source == "default.yaml":
             path = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
         else:
@@ -178,7 +191,25 @@ class TestConfig:
 
     def test_parses_with_libyaml_where_pyyaml_has_it(self):
         want = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
-        assert config._LOADER is want
+        assert config._LOADER.__bases__ == (want,)
+
+    @pytest.mark.parametrize("spelling", ["5e-2", "5E-2", "0.5e-1", "5.0e-02", ".5e-1"])
+    def test_exponent_float_loads_as_a_float(self, spelling, tmp_path):
+        # YAML 1.2 and JSON read these as floats; PyYAML's YAML 1.1 resolver
+        # would leave them strings.
+        configs = []
+        for name, alpha in (("exp", spelling), ("dot", "0.05")):
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(f"zeta:\n  alpha: {alpha}\n")
+            configs.append(load_config(path))
+        got, want = configs
+        assert got == want
+        assert got.params_hash() == want.params_hash()
+
+    def test_json_exponent_floats_load_as_floats(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"bias_table": {"beta11": [1e-05, 1e200, -2.5e-300]}}))
+        assert load_config(path).bias_table.beta11 == [1e-05, 1e200, -2.5e-300]
 
     def test_params_hash_of_float_config_is_unchanged(self):
         # The digest keys zeta_cells.csv rows across runs; configs that
@@ -345,6 +376,13 @@ class TestCliExitCodes:
         assert f"config error: {name}" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["bad.yaml"]
 
+    def test_quoted_exponent_float_is_a_string(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text('zeta:\n  alpha: "5e-2"\n')
+        code = main(["zeta", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "config error: zeta.alpha: must be a finite number, got '5e-2'" in capsys.readouterr().err
+
     def test_out_naming_a_file_is_exit_2(self, small_config, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("not a directory\n")
@@ -503,6 +541,83 @@ class TestCliExitCodes:
         code = main(["bias-table", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "config error: plan_base.kind: unknown kind 'spline'" in capsys.readouterr().err
+
+
+# A rank-1 covariance np.outer(v, v) whose computed eigenvalues are
+# -7.3e-12 and 8.5e5: PSD to roundoff of its scale.
+RANK_ONE_INIT_COV = [
+    [795911.2731108895, 208102.24571378072],
+    [208102.24571378072, 54411.271876890634],
+]
+
+
+def small_config_text(**sections) -> str:
+    return yaml.safe_dump({**SMALL_CONFIG, **sections})
+
+
+class TestErrorBoundary:
+    """A bad config exits 2 and an ``ArithmeticError`` exits 3; any other
+    exception is a bug, and ``main`` lets it surface."""
+
+    @settings(max_examples=400)
+    @given(data=st.data())
+    def test_one_leaf_corruption_never_crashes(self, data):
+        path, leaf = data.draw(st.sampled_from(list(leaf_paths(TYPED_CONFIG))))
+        value = st.sampled_from(["abc", None, True, [1], {"a": 1}])
+        if type(leaf) is float:
+            value |= st.sampled_from([1e300, -1e300, 1e-300, -1e-300, 0.0])
+        elif type(leaf) is int:
+            # Small counts only: a large one allocates a huge panel.
+            value |= st.integers(-1, 3)
+        command = data.draw(st.sampled_from(["bias-table", "simulate", "zeta"]))
+        raw = copy.deepcopy(TYPED_CONFIG)
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = data.draw(value)
+        with tempfile.TemporaryDirectory() as tmp_dir:
+            cfg_path = Path(tmp_dir) / "cfg.yaml"
+            cfg_path.write_text(yaml.safe_dump(raw))
+            err = io.StringIO()
+            with redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main([command, "--config", str(cfg_path), "--out", tmp_dir])
+        assert code in (0, 2, 3)
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert "Traceback" not in err.getvalue()
+        assert "RuntimeWarning" not in err.getvalue()
+
+    @pytest.mark.parametrize("error", [ValueError, np.linalg.LinAlgError])
+    def test_other_exception_surfaces(self, error, small_config, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise error("injected")
+
+        monkeypatch.setattr(cli, "simulate_panel", fail)
+        with pytest.raises(error, match="injected"):
+            main(["simulate", "--config", str(small_config), "--out", str(tmp_path)])
+
+    def test_numpy_overflow_is_exit_3(self, tmp_path, capsys):
+        # Squares of 1e200 in the pooled fit's sums overflow a double.
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(small_config_text(model={"init_mean": [1e200, 0.0]}))
+        code = main(["zeta", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "numerical failure: overflow encountered in" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            small_config_text(model={"beta": [[100.0, -5.0], [-3.0, 0.5]]}, simulate={"n_units": 3, "j": 2}),
+            small_config_text(model={"init_cov": RANK_ONE_INIT_COV}),
+            small_config_text(zeta={**SMALL_CONFIG["zeta"], "alpha": "ALPHA"}).replace("ALPHA", "5e-2"),
+        ],
+        ids=["stiff drift", "rank-1 init_cov", "exponent alpha"],
+    )
+    @pytest.mark.parametrize("command", ["bias-table", "simulate", "zeta"])
+    def test_valid_config_runs(self, text, command, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
 
 class TestBiasTableCommand:

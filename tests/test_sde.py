@@ -74,7 +74,7 @@ class TestTransitionLaw:
         law = transition_law(ref_params, 0.1)
         np.testing.assert_allclose(law.noise_cov, NOISE_COV_REF, rtol=1e-13, atol=1e-15)
 
-    def test_van_loan_route_matches_quadrature_oracles(self, ref_params):
+    def test_doubling_route_matches_quadrature_oracles(self, ref_params):
         law = transition_law(ref_params, 0.1)
         closed_form_simpson = cov_simpson(
             ref_params.beta, ref_params.sigma @ ref_params.sigma.T, 0.1, 10_000
@@ -110,8 +110,8 @@ class TestTransitionLaw:
 
     def test_singular_kronecker_sum_needs_no_fallback(self):
         # Opposite-sign eigenvalues make the Kronecker sum singular; the
-        # block-exponential route has no special case there and must match
-        # the quadrature oracle.
+        # doubling route has no special case there and must match the
+        # quadrature oracle.
         beta = np.diag([0.7, -0.7])
         p = ModelParams(
             beta=beta, sigma=REF_SIGMA, init_mean=[0, 0], init_cov=np.eye(2), horizon=1.0
@@ -120,6 +120,17 @@ class TestTransitionLaw:
         np.testing.assert_allclose(
             law.noise_cov, oracle_cov_simpson(beta, REF_SIGMA, 0.2), atol=1e-10
         )
+
+    @pytest.mark.parametrize("J", [2, 8, 40])
+    @pytest.mark.parametrize("b11", [50.0, 100.0, 400.0])
+    def test_stiff_drift_matches_kronecker_oracle(self, b11, J):
+        # A block exponential carrying e^{+beta delta} beside e^{-beta delta}
+        # lost up to 1e-6 of the largest entry here, and at b11 = 100, J = 2
+        # its result was not PSD.
+        p = make_params(beta11=b11)
+        got = transition_law(p, 1.0 / J).noise_cov
+        want = cov_kronecker(p.beta, REF_SIGMA @ REF_SIGMA.T, 1.0 / J)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("delta", [1 / 8, 1 / 40])
     def test_oscillator_drift_matches_quadrature(self, delta):
@@ -805,6 +816,13 @@ BAD_COVARIANCES = {
     "asymmetric": ([[1.0, 0.5], [0.0, 1.0]], "must be symmetric"),
     "indefinite": ([[1.0, 2.0], [2.0, 1.0]], "must be positive semidefinite"),
 }
+# The covariance checks are relative to the largest entry, so a bad
+# covariance stays bad at every scale.
+BAD_COVARIANCES.update(
+    (f"{case} x {scale:g}", (np.multiply(scale, bad), message))
+    for case, (bad, message) in list(BAD_COVARIANCES.items())
+    for scale in (1e-20, 1e-15, 1e-10, 1e-5, 1e5, 1e10)
+)
 BAD_FIELD_CASES = [(f, b) for f in BUILDERS for b in BAD_MATRICES] + [
     (f, b) for f in ("init_cov", "noise_cov") for b in BAD_COVARIANCES
 ]
@@ -816,6 +834,16 @@ def test_bad_field_is_rejected_by_name(field, case):
     name = "matrix" if field in ("matexp", "eigen2") else field
     with pytest.raises(ValueError, match=f"^{name} {message}"):
         BUILDERS[field](bad)
+
+
+@pytest.mark.parametrize("scale", [10.0**k for k in range(0, 11, 2)])
+@pytest.mark.parametrize("field", ["init_cov", "noise_cov"])
+def test_rank_one_covariance_is_accepted_at_every_scale(field, scale):
+    # An absolute floor on the smallest eigenvalue rejected about a quarter
+    # of these at scale 1e6; roundoff grows with the scale.
+    rng = np.random.default_rng(20)
+    for v in rng.uniform(-1.0, 1.0, size=(300, 2)) * math.sqrt(scale):
+        BUILDERS[field](np.outer(v, v))
 
 
 def test_validated_fields_are_frozen_copies():
