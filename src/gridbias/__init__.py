@@ -12,7 +12,6 @@ from .estimands import (
 )
 from .estimation import (
     BootstrapFailureError,
-    ContrastEstimate,
     DegenerateDesignError,
     ZetaReport,
     bootstrap_ci,
@@ -20,7 +19,7 @@ from .estimation import (
     sensitivity_ratio,
     zeta,
 )
-from .linalg2 import EigenPair2, eigen2, expm_series, matexp
+from .linalg2 import matexp
 from .sde import (
     Grid,
     ModelParams,

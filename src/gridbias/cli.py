@@ -1,7 +1,7 @@
 """Command-line experiment runner.
 
-Subcommands (each takes ``--config``, ``--out``, ``--seed``, ``--threads``;
-flag values override the config file, which overrides built-in defaults):
+Subcommands (each takes ``--config``, ``--out`` and ``--seed``; flag values
+override the config file, which overrides built-in defaults):
 
 * ``bias-table``  -- closed-form estimands over the configured parameter
   sweep; pure analysis, no randomness.
@@ -18,11 +18,9 @@ fit or too many failed bootstrap replicates.  The run goes inside
 invalid operation is one too.  Any other exception is a bug and ends in a
 traceback (exit 1).
 
-Every command runs in the calling process and thread.  ``--threads`` and
-the config's ``threads`` are still accepted and validated, so existing
-command lines and config files keep working, but they have no effect.
-Every ``zeta`` cell derives its own seed from the master seed and the
-cell's position in the sweep.
+Every command runs in the calling process and thread.  Every ``zeta`` cell
+derives its own seed from the master seed and the cell's position in the
+sweep.
 """
 
 from __future__ import annotations
@@ -198,7 +196,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", type=Path, default=None, help="YAML config file")
         cmd.add_argument("--out", type=Path, default=None, help="output directory")
         cmd.add_argument("--seed", type=int, default=None, help="master seed override")
-        cmd.add_argument("--threads", type=int, default=None, help="accepted; has no effect")
     return parser
 
 
@@ -206,8 +203,6 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config is not None else ExperimentConfig()
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.threads is not None:
-        cfg.threads = args.threads
     if args.out is not None:
         cfg.out_dir = str(args.out)
     cfg.validate()

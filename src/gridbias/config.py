@@ -121,7 +121,6 @@ class ExperimentConfig:
     simulate: SimulateConfig = field(default_factory=SimulateConfig)
     zeta: ZetaConfig = field(default_factory=ZetaConfig)
     seed: int = 20260809
-    threads: int = 1
     out_dir: str = "results"
 
     def validate(self) -> None:
@@ -149,7 +148,6 @@ class ExperimentConfig:
                     f"{name}.{key}: not read by kind {plan.kind!r}",
                 )
         _require(_count(self.seed, "seed") >= 0, "seed: must be non-negative")
-        _require(_count(self.threads, "threads") >= 1, "threads: must be >= 1")
         _require(
             isinstance(self.out_dir, str) and self.out_dir != "",
             f"out_dir: must be a non-empty string, got {self.out_dir!r}",
@@ -205,11 +203,10 @@ class ExperimentConfig:
 
     def params_hash(self) -> str:
         """Stable short digest of everything that determines an experiment
-        cell's law (used to key CSV rows across runs).  Output location and
-        ``threads``, which has no effect, are excluded.  Taken after
-        :meth:`validate`, it is the same for ``horizon: 1`` and
-        ``horizon: 1.0``."""
-        law = {k: v for k, v in self.to_dict().items() if k not in ("out_dir", "threads")}
+        cell's law (used to key CSV rows across runs); the output location
+        is excluded.  Taken after :meth:`validate`, it is the same for
+        ``horizon: 1`` and ``horizon: 1.0``."""
+        law = {k: v for k, v in self.to_dict().items() if k != "out_dir"}
         return hashlib.sha256(repr(sorted(law.items())).encode()).hexdigest()[:12]
 
 

@@ -38,7 +38,6 @@ from .sde import TrajectoryPanel, subsample_panel
 __all__ = [
     "DegenerateDesignError",
     "BootstrapFailureError",
-    "ContrastEstimate",
     "ZetaReport",
     "estimate_contrast",
     "bootstrap_ci",
@@ -80,13 +79,6 @@ class DegenerateDesignError(ArithmeticError):
 
 class BootstrapFailureError(ArithmeticError):
     """Too many bootstrap replicates had rank-deficient designs."""
-
-
-@dataclass(frozen=True)
-class ContrastEstimate:
-    """Plug-in contrast between two schedules sharing one fitted model."""
-
-    tau_hat: float
 
 
 @dataclass(frozen=True)
@@ -204,13 +196,13 @@ def _contrast(
 
 def estimate_contrast(
     panel: TrajectoryPanel, plan_star: TreatmentPlan, plan_base: TreatmentPlan
-) -> ContrastEstimate:
-    """Plug-in contrast between two schedules from one pooled fit ``(a, b,
-    c)``: ``c * sum_k b^(J-1-k) (w*(t_k) - w0(t_k))``.  The intercept ``a``
-    and the baseline mean ``E[Y0]`` enter both schedules' mean recursions
-    alike and cancel exactly, so neither is used."""
+) -> float:
+    """Plug-in contrast ``tau_hat`` between two schedules from one pooled
+    fit ``(a, b, c)``: ``c * sum_k b^(J-1-k) (w*(t_k) - w0(t_k))``.  The
+    intercept ``a`` and the baseline mean ``E[Y0]`` enter both schedules'
+    mean recursions alike and cancel exactly, so neither is used."""
     tau = _contrast(_sample_fit(panel.values), panel.grid, plan_star, plan_base)
-    return ContrastEstimate(tau_hat=float(tau[0]))
+    return float(tau[0])
 
 
 def _resample_counts(n: int, n_boot: int, seed: int) -> np.ndarray:
@@ -324,10 +316,10 @@ def zeta(
             f"J={panel.grid.J} is odd; grid halving needs an even J, "
             "choose the measurement grid accordingly"
         )
-    tau = estimate_contrast(panel, plan_star, plan_base).tau_hat
+    tau = estimate_contrast(panel, plan_star, plan_base)
     lower, upper = bootstrap_ci(panel, plan_star, plan_base, n_boot, alpha, seed)
     half = subsample_panel(panel, 2)
-    tau_half = estimate_contrast(half, plan_star, plan_base).tau_hat
+    tau_half = estimate_contrast(half, plan_star, plan_base)
     ratio = sensitivity_ratio(tau, tau_half, lower, upper)
     return ZetaReport(
         tau_hat=tau,

@@ -1,4 +1,4 @@
-"""Matrix exponentials: closed form for 2x2, Taylor series for any size.
+"""The matrix exponential of a real 2x2 matrix, in closed form.
 
 A real 2x2 matrix ``m = [[p, q], [r, s]]`` splits as ``m = a I + n`` with
 ``a = tr(m)/2``, ``d = (p - s)/2``, ``n = [[d, q], [r, -d]]`` and
@@ -25,37 +25,20 @@ an array.  Callers that hold a matrix already checked by :func:`_as_mat2`
 (such as a frozen ``ModelParams.beta``) call a core directly:
 ``estimands`` reads ``g11 - 1`` of its one-step map from
 :func:`_expm2m1_rows`, and ``sde`` makes its mean map an array of
-:func:`_expm2_rows`.  :func:`eigen2` reads the same ``(a, h^2)`` and only
-labels the eigenvalue kind.  An intermediate beyond the double range
-raises ``OverflowError``, never a silent NaN or inf.
-
-:func:`expm_series` is a truncated-Taylor scaling-and-squaring exponential
-of any real square matrix.  No computation of the package calls it: sharing
-no code with the closed-form path, it is the independent check of
-:func:`matexp`.  All functions are pure and safe for concurrent use.
+:func:`_expm2_rows`.  An intermediate beyond the double range raises
+``OverflowError``, never a silent NaN or inf.  All functions are pure and
+safe for concurrent use; the independent checks of :func:`matexp` (a
+Taylor-series exponential and an eigenvalue-kind label) live in the tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "EigenPair2",
-    "eigen2",
-    "matexp",
-    "expm_series",
-]
+__all__ = ["matexp"]
 
-# Relative eigenvalue gap below which eigen2 labels a pair "repeated".  It
-# names the label only: no formula reads it.
-COLLAPSE_RTOL = 1e-9
-
-# Taylor-series order of expm_series: after scaling, ||t*m||_inf <= 1/16,
-# where the tail beyond 25 terms is below 1e-55, far under roundoff.
-SERIES_TERMS = 25
 
 def _as_mat2(m, name: str = "matrix") -> np.ndarray:
     """A new float copy of ``m``, checked to be a finite 2x2 matrix."""
@@ -65,46 +48,6 @@ def _as_mat2(m, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError(f"{name} entries must be finite")
     return a
-
-
-@dataclass(frozen=True)
-class EigenPair2:
-    """Eigenvalues of a real 2x2 matrix, stored as (real, imag) parts.
-
-    ``kind`` is one of ``"distinct-real"``, ``"repeated"``,
-    ``"complex-conjugate"``.  For a complex pair the two values are exact
-    conjugates; for a repeated root both values are identical.
-    """
-
-    kind: str
-    re1: float
-    im1: float
-    re2: float
-    im2: float
-
-    def __post_init__(self):
-        if self.kind not in ("distinct-real", "repeated", "complex-conjugate"):
-            raise ValueError(f"unknown eigenvalue classification {self.kind!r}")
-
-
-def eigen2(m) -> EigenPair2:
-    """Eigenvalues ``a +/- h`` of a real 2x2 matrix, from the shifted form
-    ``a = tr/2``, ``h^2 = d^2 + qr`` (:func:`_shifted`).
-
-    Pairs whose gap ``2 |h|`` is below ``COLLAPSE_RTOL * max(1, ||m||_inf)``
-    are labelled repeated, with both values ``a``.  Raises ``OverflowError``
-    when ``h^2`` or an eigenvalue leaves the double range.
-    """
-    (p, q), (r, s) = _as_mat2(m).tolist()
-    a, _, h2 = _shifted(p, q, r, s)
-    h = math.sqrt(abs(h2))
-    if not math.isfinite(abs(a) + h):
-        raise OverflowError("eigenvalues exceed the double range")
-    if 2.0 * h < COLLAPSE_RTOL * max(1.0, abs(p) + abs(q), abs(r) + abs(s)):
-        return EigenPair2("repeated", a, 0.0, a, 0.0)
-    if h2 > 0.0:
-        return EigenPair2("distinct-real", a + h, 0.0, a - h, 0.0)
-    return EigenPair2("complex-conjugate", a, h, a, -h)
 
 
 def _shifted(p: float, q: float, r: float, s: float) -> tuple[float, float, float]:
@@ -174,31 +117,3 @@ def _expm2m1_rows(rows, t: float) -> tuple[tuple[float, float], tuple[float, flo
     if not math.isfinite(e11 + e12 + e21 + e22):
         raise OverflowError("matrix exponential exceeds the double range")
     return (e11, e12), (e21, e22)
-
-
-def expm_series(m, t: float) -> np.ndarray:
-    """``e^{t m}`` for a real square matrix, by scaling and squaring a
-    truncated Taylor series.
-
-    The argument is halved ``s`` times until its infinity norm is at most
-    1/16, summed to ``SERIES_TERMS`` terms and squared ``s`` times, so the
-    truncation error is far below roundoff for every input.
-    """
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    a = a * float(t)
-    norm = float(np.max(np.sum(np.abs(a), axis=1)))  # max absolute row sum
-    squarings = math.ceil(math.log2(max(1.0, norm))) + 4
-    b = a / (2.0**squarings)
-    eye = np.eye(a.shape[0])
-    total = eye
-    term = eye
-    for k in range(1, SERIES_TERMS):
-        term = term @ b / k
-        total = total + term
-    for _ in range(squarings):
-        total = total @ total
-    return total

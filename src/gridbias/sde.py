@@ -288,12 +288,15 @@ def counterfactual_step_variance(params: ModelParams, delta: float) -> float:
     """Noise variance of the counterfactual outcome over one step:
     ``(s11^2 + s12^2)(1 - e^{-2 b11 delta}) / (2 b11)``, with the
     ``b11 = 0`` limit ``(s11^2 + s12^2) delta``.  The ``expm1`` form keeps
-    full precision for every nonzero ``b11``."""
-    b11 = params.beta[0, 0]
-    s2 = params.sigma[0, 0] ** 2 + params.sigma[0, 1] ** 2
-    if b11 == 0.0:
-        return s2 * delta
-    return s2 * -math.expm1(-2.0 * b11 * delta) / (2.0 * b11)
+    full precision for every nonzero ``b11``.  Raises ``OverflowError``
+    when the variance leaves the double range."""
+    b11 = float(params.beta[0, 0])
+    (s11, s12), _ = params.sigma.tolist()
+    s2 = s11 * s11 + s12 * s12
+    var = s2 * delta if b11 == 0.0 else s2 * -math.expm1(-2.0 * b11 * delta) / (2.0 * b11)
+    if not math.isfinite(var):
+        raise OverflowError("counterfactual step variance exceeds the double range")
+    return var
 
 
 def simulate_counterfactual(

@@ -1,6 +1,7 @@
-"""Reference routes for the 2x2 exponential, the noise covariance, the
-identification bias, ``theta_g``, ``eta``, the panel CSV writer, the
-treatment schedule and its integral, and the estimator's plug-in contrast.
+"""Reference routes for the matrix exponential and the eigenvalue kind of
+a 2x2 drift, the noise covariance, the identification bias, ``theta_g``,
+``eta``, the panel CSV writer, the treatment schedule and its integral, and
+the estimator's plug-in contrast.
 
 The package computes each quantity one way: ``e^{t m} - I`` of a 2x2
 matrix in closed form, the transition noise covariance by doubling a
@@ -11,7 +12,9 @@ one formatted string per unit, a schedule from one ``(jumps, values)``
 form, its integral by walking the pieces by index, and the plug-in contrast
 by one recursion over the schedule difference.  The routes here compute the
 same numbers (or bytes) another way and exist only to cross-check those;
-the decimal ones are exact far below double roundoff."""
+the decimal ones are exact far below double roundoff.  :func:`expm_series`
+shares no code with the closed form, and :func:`eigen2` labels the
+eigenvalue kind of a drift so that a check can count the kinds it covers."""
 
 import bisect
 import csv
@@ -25,7 +28,65 @@ import numpy as np
 
 from gridbias import TreatmentPlan, matexp, plan_integral
 from gridbias.estimands import _exp_weight_integral
+from gridbias.linalg2 import _as_mat2
 from gridbias.sde import PANEL_CSV_HEADER
+
+# Relative eigenvalue gap below which eigen2 labels a pair "repeated".
+REPEATED_RTOL = 1e-9
+
+# Taylor-series order of expm_series: after scaling, ||t*m||_inf <= 1/16,
+# where the tail beyond 25 terms is below 1e-55, far under roundoff.
+SERIES_TERMS = 25
+
+
+def eigen2(m) -> tuple[str, complex, complex]:
+    """The eigenvalue kind of a real 2x2 matrix and its eigenvalues ``a +/- h``,
+    from the shifted form ``a = tr/2``, ``d = (p - s)/2``, ``h^2 = d^2 + qr``.
+
+    The kind is ``"distinct-real"``, ``"repeated"`` or ``"complex-conjugate"``.
+    A pair whose gap ``2 |h|`` is below ``REPEATED_RTOL * max(1, ||m||_inf)``
+    is labelled repeated, with both values ``a``; a complex pair is an exact
+    conjugate pair.  Raises ``OverflowError`` when ``h^2`` or an eigenvalue
+    leaves the double range."""
+    (p, q), (r, s) = _as_mat2(m).tolist()
+    d = 0.5 * (p - s)
+    a, h2 = 0.5 * (p + s), d * d + q * r
+    h = math.sqrt(abs(h2))
+    if not math.isfinite(abs(a) + h):
+        raise OverflowError("eigenvalues exceed the double range")
+    if 2.0 * h < REPEATED_RTOL * max(1.0, abs(p) + abs(q), abs(r) + abs(s)):
+        return "repeated", complex(a), complex(a)
+    if h2 > 0.0:
+        return "distinct-real", complex(a + h), complex(a - h)
+    return "complex-conjugate", complex(a, h), complex(a, -h)
+
+
+def expm_series(m, t: float) -> np.ndarray:
+    """``e^{t m}`` for a real square matrix, by scaling and squaring a
+    truncated Taylor series.
+
+    The argument is halved ``s`` times until its infinity norm is at most
+    1/16, summed to ``SERIES_TERMS`` terms and squared ``s`` times, so the
+    truncation error is far below roundoff for every input.
+    """
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    a = a * float(t)
+    norm = float(np.max(np.sum(np.abs(a), axis=1)))  # max absolute row sum
+    squarings = math.ceil(math.log2(max(1.0, norm))) + 4
+    b = a / (2.0**squarings)
+    eye = np.eye(a.shape[0])
+    total = eye
+    term = eye
+    for k in range(1, SERIES_TERMS):
+        term = term @ b / k
+        total = total + term
+    for _ in range(squarings):
+        total = total @ total
+    return total
 
 
 def cov_simpson(beta, d, delta, panels, expm=matexp):

@@ -49,7 +49,6 @@ SMALL_CONFIG = {
         "replicates": 2,
     },
     "seed": 99,
-    "threads": 1,
 }
 
 # sha256 of each CSV the three commands write for SMALL_CONFIG.  A change
@@ -317,14 +316,26 @@ class TestCliExitCodes:
         assert code == 2
         assert "config error: invalid YAML" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["seed", "threads"])
     @pytest.mark.parametrize("value", ["abc", 2.5, True])
-    def test_non_integer_seed_or_threads_is_exit_2(self, key, value, tmp_path, capsys):
+    def test_non_integer_seed_is_exit_2(self, value, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
-        bad.write_text(yaml.safe_dump({key: value}))
+        bad.write_text(yaml.safe_dump({"seed": value}))
         code = main(["bias-table", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert f"{key}: must be an integer" in capsys.readouterr().err
+        assert "seed: must be an integer" in capsys.readouterr().err
+
+    def test_threads_flag_and_key_are_exit_2(self, tmp_path, capsys):
+        # Every command runs in one thread, so neither is accepted.
+        with pytest.raises(SystemExit) as exc:
+            main(["zeta", "--out", str(tmp_path / "o"), "--threads", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("threads: 1\n")
+        code = main(["zeta", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "config error: threads: unknown top-level key" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.yaml"]
 
     @pytest.mark.parametrize(
         "key, values, message",
@@ -382,6 +393,18 @@ class TestCliExitCodes:
         code = main(["zeta", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "config error: zeta.alpha: must be a finite number, got '5e-2'" in capsys.readouterr().err
+
+    def test_quoted_exponent_out_dir_is_a_directory_name(self, tmp_path, monkeypatch, capsys):
+        # yaml.safe_dump writes the string '1e5' unquoted, and the loader
+        # reads an unquoted 1e5 as a float, so such an out_dir must be quoted.
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(SMALL_CONFIG) + 'out_dir: "1e5"\n')
+        assert main(["bias-table", "--config", str(cfg_path)]) == 0
+        assert (tmp_path / "1e5" / "bias_table.csv").is_file()
+        cfg_path.write_text(yaml.safe_dump({**SMALL_CONFIG, "out_dir": "1e5"}))
+        assert main(["bias-table", "--config", str(cfg_path)]) == 2
+        assert "out_dir: must be a non-empty string, got 100000.0" in capsys.readouterr().err
 
     def test_out_naming_a_file_is_exit_2(self, small_config, tmp_path, capsys):
         taken = tmp_path / "taken"
@@ -713,13 +736,6 @@ class TestZetaCommand:
             assert int(row["replicates"]) <= 2
             if row["median_zeta"] != "undefined":
                 assert float(row["median_zeta"]) >= 0.0
-
-    def test_thread_count_does_not_change_bytes(self, small_config, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["zeta", "--config", str(small_config), "--out", str(out1), "--threads", "1"])
-        main(["zeta", "--config", str(small_config), "--out", str(out2), "--threads", "4"])
-        for name in ("zeta_cells.csv", "zeta_summary.csv"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     @pytest.mark.parametrize("command", ["zeta", "simulate"])
     def test_run_does_not_import_numpy_ma(self, command, small_config, tmp_path):

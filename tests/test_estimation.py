@@ -204,24 +204,24 @@ class TestContrast:
 class TestEstimateContrast:
     def test_identical_plans_give_zero(self, ref_params, plan_one):
         panel = simulate_panel(ref_params, Grid(J=6, T=1.0), 50, seed=11)
-        assert estimate_contrast(panel, plan_one, plan_one).tau_hat == 0.0
+        assert estimate_contrast(panel, plan_one, plan_one) == 0.0
 
     def test_null_effect_contrast_near_zero(self, plan_one, plan_zero):
         p = make_params(beta12=0.0)
         n = 5_000
         panel = simulate_panel(p, Grid(J=10, T=1.0), n, seed=13)
-        tau = estimate_contrast(panel, plan_one, plan_zero).tau_hat
+        tau = estimate_contrast(panel, plan_one, plan_zero)
         lo, hi = bootstrap_ci(panel, plan_one, plan_zero, 200, 0.05, seed=13)
         se = (hi - lo) / (2 * 1.96)
         assert abs(tau) < 4 * se
 
     def test_reference_study_settings(self, ref_params, plan_one, plan_zero):
         panel = simulate_panel(ref_params, Grid(J=40, T=1.0), 200, seed=14)
-        est = estimate_contrast(panel, plan_one, plan_zero)
+        tau = estimate_contrast(panel, plan_one, plan_zero)
         target = theta_g(ref_params, plan_one, 40) - theta_g(ref_params, plan_zero, 40)
         lo, hi = bootstrap_ci(panel, plan_one, plan_zero, 500, 0.05, seed=14)
         se = (hi - lo) / (2 * 1.96)
-        assert abs(est.tau_hat - target) < 4 * se
+        assert abs(tau - target) < 4 * se
 
     @pytest.mark.slow
     def test_error_shrinks_with_sample_size(self, ref_params, plan_one, plan_zero):
@@ -236,7 +236,7 @@ class TestEstimateContrast:
                         simulate_panel(ref_params, Grid(J=10, T=1.0), n, seed=2_000 + s),
                         plan_one,
                         plan_zero,
-                    ).tau_hat
+                    )
                     - target
                 )
                 for s in range(20)
@@ -258,14 +258,14 @@ class TestBootstrapCi:
         one = simulate_panel(ref_params, Grid(J=8, T=1.0), 1, seed=19)
         values = np.tile(one.values, (30, 1, 1))
         clones = TrajectoryPanel(grid=one.grid, values=values)
-        tau = estimate_contrast(clones, plan_one, plan_zero).tau_hat
+        tau = estimate_contrast(clones, plan_one, plan_zero)
         lo, hi = bootstrap_ci(clones, plan_one, plan_zero, 50, 0.05, seed=1)
         assert lo == hi == tau
 
     def test_interval_brackets_estimate(self, ref_params, plan_one, plan_zero):
         for seed in range(10):
             panel = simulate_panel(ref_params, Grid(J=10, T=1.0), 150, seed=seed)
-            tau = estimate_contrast(panel, plan_one, plan_zero).tau_hat
+            tau = estimate_contrast(panel, plan_one, plan_zero)
             lo, hi = bootstrap_ci(panel, plan_one, plan_zero, 300, 0.05, seed=seed)
             assert lo <= tau <= hi
 
@@ -349,7 +349,7 @@ class TestAgainstLstsqOracle:
     @pytest.mark.parametrize("J", [8, 40])
     def test_bootstrap_matches_lstsq_refits(self, ref_params, plan_one, plan_zero, J):
         panel = simulate_panel(ref_params, Grid(J=J, T=1.0), 200, seed=50 + J)
-        tau = estimate_contrast(panel, plan_one, plan_zero).tau_hat
+        tau = estimate_contrast(panel, plan_one, plan_zero)
         lo, hi = bootstrap_ci(panel, plan_one, plan_zero, 500, 0.05, seed=J)
         want_lo, want_hi, dropped = lstsq_bootstrap(panel, plan_one, plan_zero, 500, 0.05, J)
         assert not dropped.any()
@@ -416,7 +416,7 @@ class TestZeta:
         panel = simulate_panel(p, Grid(J=20, T=1.0), 200, seed=29)
         rep = zeta(panel, plan_one, plan_zero, 200, 0.05, seed=29)
         assert rep.ci_lower <= rep.ci_upper
-        assert rep.tau_hat == estimate_contrast(panel, plan_one, plan_zero).tau_hat
+        assert rep.tau_hat == estimate_contrast(panel, plan_one, plan_zero)
         if rep.ci_lower <= 0.0 <= rep.ci_upper:
             assert rep.zeta == 0.0
         else:
@@ -431,7 +431,7 @@ class TestZeta:
         rep = zeta(panel, plan_one, plan_zero, 50, 0.05, seed=31)
         resim = simulate_panel(ref_params, Grid(J=16, T=1.0), 120, seed=31)
         half = subsample_panel(resim, 2)
-        assert rep.tau_hat_half == estimate_contrast(half, plan_one, plan_zero).tau_hat
+        assert rep.tau_hat_half == estimate_contrast(half, plan_one, plan_zero)
         assert half.grid.J == 8
 
     def test_null_effect_mostly_zero(self, plan_one, plan_zero):

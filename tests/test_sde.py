@@ -17,8 +17,6 @@ from gridbias import (
     TrajectoryPanel,
     TransitionLaw,
     TreatmentPlan,
-    eigen2,
-    expm_series,
     matexp,
     read_panel_csv,
     simulate_counterfactual,
@@ -30,7 +28,13 @@ from gridbias import (
 from gridbias import sde
 from gridbias.sde import counterfactual_step_variance
 from tests.conftest import REF_BETA, REF_COV, REF_MEAN, REF_SIGMA, make_params
-from tests.oracles import cov_kronecker, cov_simpson, write_panel_csv_rowwise
+from tests.oracles import (
+    cov_kronecker,
+    cov_simpson,
+    eigen2,
+    expm_series,
+    write_panel_csv_rowwise,
+)
 
 # Step-0.1 noise covariance of the reference drift/diffusion, from 40-digit
 # quadrature of the integral (a 1e5-panel Simpson rule over the independent
@@ -374,6 +378,18 @@ class TestSimulateCounterfactual:
         want = s2 * -math.expm1(-2 * b11 * delta) / (2 * b11)
         assert counterfactual_step_variance(p, delta) == pytest.approx(want, rel=1e-15)
         assert abs(want / (s2 * delta) - 1) > 4e-9
+
+    @pytest.mark.parametrize("row", [[1e200, 0.0], [1e154, 1e154]])
+    def test_step_variance_beyond_the_double_range_raises(self, row):
+        # Called outside the CLI's np.errstate: the variance must say so
+        # itself, with no RuntimeWarning (an error under this suite's filter).
+        p = ModelParams(
+            beta=REF_BETA, sigma=[row, [0.0, 1.0]], init_mean=REF_MEAN, init_cov=REF_COV,
+            horizon=1.0,
+        )
+        plan = TreatmentPlan.constant(1.0, horizon=1.0)
+        with pytest.raises(OverflowError, match="counterfactual step variance"):
+            simulate_counterfactual(p, plan, Grid(J=4, T=1.0), 3, seed=1)
 
 
 @pytest.mark.slow
@@ -788,7 +804,8 @@ class TestPanelType:
 
 
 # Each validated 2x2 field, and how to build a value with that field set to
-# ``bad``; ``matexp`` and ``eigen2`` name their argument "matrix".
+# ``bad``; ``matexp`` and the test oracle ``eigen2`` name their argument
+# "matrix".
 def _model_params(field, bad):
     fields = dict(beta=REF_BETA, sigma=REF_SIGMA, init_mean=REF_MEAN, init_cov=REF_COV)
     return ModelParams(**{**fields, field: bad}, horizon=1.0)
