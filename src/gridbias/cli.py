@@ -36,11 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
-from .estimands import (
-    theta_g,
-    theta_naive_limit,
-    true_eta,
-)
+from .estimands import theta_g, theta_naive_limit, true_eta
 from .estimation import zeta
 from .sde import Grid, ModelParams, simulate_counterfactual, simulate_panel, write_panel_csv
 
@@ -99,24 +95,14 @@ def cmd_bias_table(cfg: ExperimentConfig, out_dir: Path) -> Path:
     plan = cfg.plan_star.to_plan(base.horizon, "plan_star")
     bt = cfg.bias_table
 
-    def row(params, b11, b21, b12, j):
-        tg = theta_g(params, plan, j)
-        eta = true_eta(params, plan)
-        return (
-            _fmt(b11),
-            _fmt(b21),
-            _fmt(b12),
-            j,
-            _fmt(tg),
-            _fmt(eta),
-            _fmt(tg - eta),
-            _fmt(theta_naive_limit(params)),
-        )
-
     rows = []
     for b11, b21, b12 in itertools.product(bt.beta11, bt.beta21, bt.beta12):
         params = _swept_params(base, b11, b21, b12)
-        rows.extend(row(params, b11, b21, b12, j) for j in bt.j_values)
+        drift = (_fmt(b11), _fmt(b21), _fmt(b12))
+        for j in bt.j_values:
+            tg, eta = theta_g(params, plan, j), true_eta(params, plan)
+            naive = theta_naive_limit(params)
+            rows.append((*drift, j, _fmt(tg), _fmt(eta), _fmt(tg - eta), _fmt(naive)))
     path = out_dir / "bias_table.csv"
     _write_csv(path, BIAS_TABLE_HEADER, rows)
     return path

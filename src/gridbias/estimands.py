@@ -152,14 +152,15 @@ def _require_plan_covers(plan: TreatmentPlan, horizon: float) -> None:
 
 
 def true_eta(params, plan: TreatmentPlan) -> float:
-    """Continuous-time counterfactual mean of the outcome at the horizon."""
+    """Continuous-time counterfactual mean of the outcome at the horizon.
+    Raises ``OverflowError`` when it exceeds the double range."""
     _require_plan_covers(plan, params.horizon)
-    b11 = params.beta[0, 0]
-    b12 = params.beta[0, 1]
-    ey0 = params.init_mean[0]
-    return math.exp(-b11 * params.horizon) * ey0 - b12 * plan_integral(
-        plan, 0.0, params.horizon, b11
-    )
+    b11, b12 = params.beta.tolist()[0]
+    decay = math.exp(-b11 * params.horizon)
+    eta = decay * params.init_mean.item(0) - b12 * plan_integral(plan, 0.0, params.horizon, b11)
+    if not math.isfinite(eta):
+        raise OverflowError("true_eta exceeds the double range")
+    return eta
 
 
 def _sample_runs(plan: TreatmentPlan, horizon: float, J: int) -> list[int]:

@@ -40,9 +40,17 @@ import numpy as np
 __all__ = ["matexp"]
 
 
+def _float_array(x, name: str, shape: str) -> np.ndarray:
+    """A new float array of ``x``; NumPy's error for a ragged ``x`` names ``name``."""
+    try:
+        return np.array(x, dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"{name} must be {shape} real numbers ({exc})") from exc
+
+
 def _as_mat2(m, name: str = "matrix") -> np.ndarray:
     """A new float copy of ``m``, checked to be a finite 2x2 matrix."""
-    a = np.array(m, dtype=float)
+    a = _float_array(m, name, "2x2")
     if a.shape != (2, 2):
         raise ValueError(f"{name} must be 2x2, got shape {a.shape}")
     if not np.isfinite(a).all():

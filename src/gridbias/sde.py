@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimands import TreatmentPlan, _require_plan_covers, plan_integral
-from .linalg2 import _as_mat2, _expm2_rows
+from .linalg2 import _as_mat2, _expm2_rows, _float_array
 
 __all__ = [
     "ModelParams",
@@ -79,7 +79,7 @@ class ModelParams:
     def __post_init__(self):
         object.__setattr__(self, "beta", _frozen(_as_mat2(self.beta, "beta")))
         object.__setattr__(self, "sigma", _frozen(_as_mat2(self.sigma, "sigma")))
-        mean = np.array(self.init_mean, dtype=float).reshape(-1)
+        mean = _float_array(self.init_mean, "init_mean", "2").reshape(-1)
         if mean.size != 2:
             raise ValueError(f"init_mean must have 2 entries, got {mean.size}")
         if not np.all(np.isfinite(mean)):
@@ -97,12 +97,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _checked_cov(m, name: str) -> np.ndarray:
     """``m`` checked to be symmetric PSD to within ``COV_RTOL`` of its
-    largest |entry|, so the check reads the same at every scale."""
+    largest |entry|, so the check reads the same at every scale.  The smaller
+    eigenvalue is a closed form over the lower triangle, the one ``eigvalsh``
+    reads; each entry is halved before a sum, so no sum overflows."""
     cov = _as_mat2(m, name)
-    tol = COV_RTOL * np.max(np.abs(cov))
-    if abs(cov[0, 1] - cov[1, 0]) > tol:
+    (a, b), (c, d) = cov.tolist()
+    tol = COV_RTOL * max(abs(a), abs(b), abs(c), abs(d))
+    if abs(b - c) > tol:
         raise ValueError(f"{name} must be symmetric (within {COV_RTOL} of its largest entry)")
-    if np.min(np.linalg.eigvalsh(cov)) < -tol:
+    if not (0.5 * a + 0.5 * d) - math.hypot(0.5 * a - 0.5 * d, c) >= -tol:
         raise ValueError(f"{name} must be positive semidefinite")
     return _frozen(cov)
 

@@ -1,11 +1,13 @@
 """Reference routes for the matrix exponential and the eigenvalue kind of
-a 2x2 drift, the noise covariance, the identification bias, ``theta_g``,
-``eta``, the panel CSV writer, the treatment schedule and its integral, and
-the estimator's plug-in contrast.
+a 2x2 drift, the noise covariance, the smaller eigenvalue of a 2x2
+covariance, the identification bias, ``theta_g``, ``eta``, the panel CSV
+writer, the treatment schedule and its integral, and the estimator's
+plug-in contrast.
 
 The package computes each quantity one way: ``e^{t m} - I`` of a 2x2
 matrix in closed form, the transition noise covariance by doubling a
-short-step Taylor sum, the bias by direct subtraction ``theta_g - eta``, both
+short-step Taylor sum, a covariance's PSD check from the closed-form
+smaller eigenvalue, the bias by direct subtraction ``theta_g - eta``, all
 in double precision, ``theta_g`` in closed form over the runs of equal
 sampled schedule values, each run bound found in O(1), the panel CSV from
 one formatted string per unit, a schedule from one ``(jumps, values)``
@@ -119,6 +121,20 @@ def cov_kronecker(beta, d, delta):
     eye = np.eye(2)
     kron_sum = np.kron(beta, eye) + np.kron(eye, beta)
     return np.linalg.solve(kron_sum, rhs.reshape(4)).reshape(2, 2)
+
+
+def min_eigenvalue_exact(cov, prec: int = 60) -> Decimal:
+    """The smaller eigenvalue ``(a + d)/2 - sqrt(((a - d)/2)^2 + c^2)`` of
+    the symmetric matrix whose lower triangle is ``a = cov[0][0]``,
+    ``c = cov[1][0]``, ``d = cov[1][1]`` (the triangle ``eigvalsh`` reads),
+    in ``prec``-digit decimal arithmetic from the exact doubles, with an
+    exponent range wide enough that nothing overflows or underflows."""
+    (a, _), (c, d) = ((Decimal(float(x)) for x in row) for row in np.asarray(cov, dtype=float))
+    with decimal.localcontext() as ctx:
+        ctx.prec = prec
+        ctx.Emax, ctx.Emin = decimal.MAX_EMAX, decimal.MIN_EMIN
+        half_gap = (a - d) / 2
+        return (a + d) / 2 - (half_gap * half_gap + c * c).sqrt()
 
 
 def sample_runs_searchsorted(plan: TreatmentPlan, horizon: float, J: int) -> list[int]:

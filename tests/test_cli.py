@@ -558,6 +558,23 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "config error: model: init_mean must have 2 entries, got 3" in err
 
+    @pytest.mark.parametrize("field", ["beta", "sigma", "init_cov"])
+    def test_ragged_matrix_names_its_field(self, field, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump({"model": {field: [[0.2, -5.0], [-3.0]]}}))
+        code = main(["bias-table", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: model: {field} must be 2x2 real numbers (")
+
+    def test_asymmetry_beyond_the_double_range_is_exit_2(self, tmp_path, capsys):
+        # The two off-diagonal entries differ by more than the largest double.
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump({"model": {"init_cov": [[1.0, 1e308], [-1e308, 1.0]]}}))
+        code = main(["bias-table", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "config error: model: init_cov must be symmetric" in capsys.readouterr().err
+
     def test_unknown_plan_kind_names_the_key(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text(yaml.safe_dump({"plan_base": {"kind": "spline"}}))

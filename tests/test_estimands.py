@@ -352,6 +352,29 @@ class TestTrueEta:
         three = true_eta(ref_params, TreatmentPlan.constant(3.0, horizon=1.0))
         assert three - base == pytest.approx(3.0 * (one - base), rel=1e-12)
 
+    def test_beyond_the_double_range_raises(self):
+        # b12 times the integral, 1e300 * 1e10, overflows although every
+        # input is finite.
+        p = make_params(beta11=0.0, beta12=1e300, beta21=0.0)
+        with pytest.raises(OverflowError, match="true_eta exceeds the double range"):
+            true_eta(p, TreatmentPlan.constant(1e10, horizon=1.0))
+
+
+def test_estimands_of_model_params_are_python_floats(ref_params):
+    # The bias table's per-cell work runs on Python floats, not NumPy
+    # scalars; this pins the result type of every estimand it calls.
+    plan = TreatmentPlan.tabulated([0.0, 0.137, 0.42], [1.0, 0.3, -0.5], horizon=1.0)
+    b11 = ref_params.beta.tolist()[0][0]
+    results = {
+        "true_eta": true_eta(ref_params, plan),
+        "identification_bias": identification_bias(ref_params, plan, 16),
+        "theta_g": theta_g(ref_params, plan, 16),
+        "theta_naive_limit": theta_naive_limit(ref_params),
+        "plan_integral": plan_integral(plan, 0.0, ref_params.horizon, b11),
+        **dict(zip(("theta_naive", "its limit"), theta_naive(ref_params, plan, 16))),
+    }
+    assert {name: type(x) for name, x in results.items()} == dict.fromkeys(results, float)
+
 
 class TestThetaG:
     def test_single_step_recursion(self, ref_params):

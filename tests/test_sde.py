@@ -3,13 +3,14 @@ import signal
 import tempfile
 import tracemalloc
 from contextlib import contextmanager
+from decimal import Decimal
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 import orjson
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gridbias import (
     Grid,
@@ -33,6 +34,7 @@ from tests.oracles import (
     cov_simpson,
     eigen2,
     expm_series,
+    min_eigenvalue_exact,
     write_panel_csv_rowwise,
 )
 
@@ -828,6 +830,7 @@ BAD_MATRICES = {
     "wrong shape": (np.zeros((2, 3)), r"must be 2x2, got shape \(2, 3\)"),
     "nan entry": ([[1.0, 0.0], [0.0, math.nan]], "entries must be finite"),
     "inf entry": ([[1.0, math.inf], [math.inf, 1.0]], "entries must be finite"),
+    "ragged": ([[0.2, -5.0], [-3.0]], r"must be 2x2 real numbers \(setting an array element"),
 }
 BAD_COVARIANCES = {
     "asymmetric": ([[1.0, 0.5], [0.0, 1.0]], "must be symmetric"),
@@ -861,6 +864,81 @@ def test_rank_one_covariance_is_accepted_at_every_scale(field, scale):
     rng = np.random.default_rng(20)
     for v in rng.uniform(-1.0, 1.0, size=(300, 2)) * math.sqrt(scale):
         BUILDERS[field](np.outer(v, v))
+
+
+def test_ragged_init_mean_is_rejected_by_name():
+    with pytest.raises(ValueError, match=r"^init_mean must be 2 real numbers \(setting an"):
+        _model_params("init_mean", [[1.0], 0.0])
+
+
+# Covariances near the double range: halving each entry before a sum keeps
+# the PSD check's sums finite (0.5 * (a + d) overflows at a = d = 1e308).
+NEAR_RANGE_COVARIANCES = [
+    ([[1e308, 0.0], [0.0, 1e308]], True),
+    ([[1e308, 1e308], [1e308, 1e308]], True),
+    ([[1e308, 1.5e308], [1.5e308, 1e308]], False),
+    ([[1e308, 0.0], [0.0, -1e308]], False),
+]
+
+
+@pytest.mark.parametrize("cov, psd", NEAR_RANGE_COVARIANCES)
+@pytest.mark.parametrize("field", ["init_cov", "noise_cov"])
+def test_covariance_near_the_double_range(field, cov, psd):
+    if psd:
+        BUILDERS[field](cov)
+    else:
+        with pytest.raises(ValueError, match=f"^{field} must be positive semidefinite"):
+            BUILDERS[field](cov)
+
+
+@st.composite
+def covariances(draw):
+    """A 2x2 covariance whose largest |entry| is about ``10^k``, ``k`` in
+    [-300, 300]: a symmetric matrix, a rank-1 ``np.outer(v, v)``, or one
+    whose smaller eigenvalue lies within two symmetry tolerances of the
+    PSD check's boundary.  The upper entry is moved off the lower one by up
+    to 0.9 of that tolerance, so that the lower triangle decides."""
+    scale = 10.0 ** draw(st.floats(-300.0, 300.0))
+    unit = st.floats(-1.0, 1.0)
+    kind = draw(st.sampled_from(["symmetric", "rank one", "near the boundary"]))
+    if kind == "rank one":
+        v = np.array([draw(unit), draw(unit)])
+        biggest = np.max(np.abs(v))
+        w = v / biggest * math.sqrt(scale) if biggest else v
+        m = np.outer(w, w)
+    else:
+        if kind == "symmetric":
+            a, c, d = draw(unit), draw(unit), draw(unit)
+        else:
+            # Smaller eigenvalue (r - 1) COV_RTOL of the largest entry 1:
+            # the check's boundary is at r = 0.
+            a, d = 1.0, abs(draw(unit))
+            lam = (draw(st.floats(-2.0, 2.0)) - 1.0) * sde.COV_RTOL
+            c = math.copysign(math.sqrt(max(0.0, (a - lam) * (d - lam))), draw(unit))
+            if draw(st.booleans()):
+                a, d = d, a
+        m = np.array([[a, c], [c, d]])
+        biggest = np.max(np.abs(m))
+        m = m / biggest * scale if biggest else m
+    m[0, 1] = m[1, 0] + draw(unit) * 0.9 * sde.COV_RTOL * np.max(np.abs(m))
+    return m
+
+
+@settings(max_examples=500)
+@given(covariances())
+def test_psd_verdict_matches_the_decimal_eigenvalue(cov):
+    # The closed form rounds a few times, each by at most about 3e-16 of
+    # the largest entry, so only a verdict within 1e-15 of it is left free.
+    biggest = float(np.max(np.abs(cov)))
+    margin = min_eigenvalue_exact(cov) + Decimal(sde.COV_RTOL * biggest)
+    assume(abs(margin) > Decimal(1e-15 * biggest))
+    try:
+        BUILDERS["init_cov"](cov)
+        accepted = True
+    except ValueError as exc:
+        assert str(exc) == "init_cov must be positive semidefinite"
+        accepted = False
+    assert accepted == (margin > 0), (cov.tolist(), margin)
 
 
 def test_validated_fields_are_frozen_copies():
