@@ -38,7 +38,14 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, load_config
 from .estimands import theta_g, theta_naive_limit, true_eta
 from .estimation import zeta
-from .sde import Grid, ModelParams, simulate_counterfactual, simulate_panel, write_panel_csv
+from .sde import (
+    Grid,
+    ModelParams,
+    _seed_sequence,
+    simulate_counterfactual,
+    simulate_panel,
+    write_panel_csv,
+)
 
 __all__ = ["main", "cmd_bias_table", "cmd_simulate", "cmd_zeta", "derive_seed"]
 
@@ -69,8 +76,8 @@ ZETA_UNDEFINED = "undefined"
 
 
 def derive_seed(master: int, *key: int) -> int:
-    """Deterministic per-cell seed from the master seed and a cell key."""
-    return int(np.random.SeedSequence((master, *key)).generate_state(1, np.uint64)[0])
+    """Per-cell seed: the first uint64 of ``SeedSequence((master, *key))``."""
+    return int(_seed_sequence(master, *key).generate_state(1, np.uint64)[0])
 
 
 def _write_csv(path: Path, header, rows) -> None:

@@ -115,11 +115,9 @@ def _exp_weight_integral(lo: float, hi: float, b: float, rate: float) -> float:
     """
     if rate == 0.0:
         return hi - lo
-    if rate > 0.0:
-        # e^{rate(hi-b)} - e^{rate(lo-b)} = e^{rate(hi-b)} * -expm1(-rate*(hi-lo))
-        return math.exp(rate * (hi - b)) * -math.expm1(-rate * (hi - lo)) / rate
-    # e^{rate(hi-b)} - e^{rate(lo-b)} = e^{rate(lo-b)} * expm1(rate*(hi-lo))
-    return math.exp(rate * (lo - b)) * math.expm1(rate * (hi - lo)) / rate
+    end = hi if rate > 0.0 else lo
+    # e^{rate(hi-b)} - e^{rate(lo-b)} = e^{rate(end-b)} * -expm1(-|rate|*(hi-lo))
+    return math.exp(rate * (end - b)) * -math.expm1(-abs(rate) * (hi - lo)) / abs(rate)
 
 
 def plan_integral(plan: TreatmentPlan, a: float, b: float, rate: float) -> float:
@@ -133,8 +131,6 @@ def plan_integral(plan: TreatmentPlan, a: float, b: float, rate: float) -> float
         raise ValueError("integration bounds must satisfy a <= b")
     if a < 0.0 or b > plan.horizon:
         raise ValueError("integration bounds outside the plan domain")
-    if a == b:
-        return 0.0
     first = bisect.bisect_right(plan.jumps, a)
     last = bisect.bisect_left(plan.jumps, b)
     cuts = [a, *plan.jumps[first:last], b]

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimands import TreatmentPlan, _require_plan_covers
-from .sde import TrajectoryPanel, subsample_panel
+from .sde import TrajectoryPanel, _seed_sequence, subsample_panel
 
 __all__ = [
     "DegenerateDesignError",
@@ -207,9 +207,9 @@ def estimate_contrast(
 
 def _resample_counts(n: int, n_boot: int, seed: int) -> np.ndarray:
     """``(n_boot, n)`` unit multiplicities.  All indices come from one
-    stream, ``default_rng(SeedSequence(seed)).integers(0, n, size=(n_boot,
+    stream, ``default_rng(SeedSequence((seed, 1))).integers(0, n, size=(n_boot,
     n))``; row ``b`` of that draw is replicate ``b``."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(_seed_sequence(seed, 1))
     idx = rng.integers(0, n, size=(n_boot, n))
     idx += n * np.arange(n_boot)[:, None]
     return np.bincount(idx.ravel(), minlength=n_boot * n).reshape(n_boot, n).astype(float)
@@ -252,16 +252,16 @@ def bootstrap_ci(
     """Percentile bootstrap interval for the plug-in contrast.
 
     Resamples whole units with replacement.  One stream keyed on
-    ``SeedSequence(seed)`` draws the indices of every replicate at once
-    (see :func:`_resample_counts`), so the interval is deterministic given
-    the seed.  The pooled fit depends on the data only through per-unit
-    sufficient statistics, so a replicate is not refit on copied data: its
-    unit counts weight those statistics, and one vectorised 2x2 solve by
-    Cramer's rule fits all replicates.  Quantiles interpolate linearly
-    between order statistics, bit for bit as ``np.quantile`` does
-    (:func:`_quantiles`).  Replicates
-    whose design is rank deficient are skipped; more than 10% of them
-    raises :class:`BootstrapFailureError`.
+    ``(seed, 1)``, no unit stream of the seed, draws the indices of every
+    replicate at once (see :func:`_resample_counts`), so the interval is
+    deterministic given the seed.  The pooled fit depends on the data only
+    through per-unit sufficient statistics, so a replicate is not refit on
+    copied data: its unit counts weight those statistics, and one
+    vectorised 2x2 solve by Cramer's rule fits all replicates.  Quantiles
+    interpolate linearly between order statistics, bit for bit as
+    ``np.quantile`` does (:func:`_quantiles`).  Replicates whose design is
+    rank deficient are skipped; more than 10% of them raises
+    :class:`BootstrapFailureError`.
     """
     if n_boot < 2:
         raise ValueError("need at least 2 bootstrap replicates")

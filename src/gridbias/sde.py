@@ -17,10 +17,10 @@ way from its scalar transition law.
 Randomness is reproducible: every unit draws from its own stream, that of
 ``SeedSequence((seed, 0, unit))``, where ``seed`` is the panel seed the
 caller passes (the CLI derives one per panel or ``zeta`` cell from the
-master seed) and ``unit`` the unit's row.  The key reaches ``SeedSequence``
-as its 32-bit words, the same entropy as the tuple.  A unit's draws thus
-depend only on the panel seed, its row and J, not on how many units are
-drawn or in what order.
+master seed) and ``unit`` the unit's row.  A unit's draws thus depend only
+on the panel seed, its row and J, not on how many units are drawn or in
+what order.  :func:`_seed_sequence` builds every ``SeedSequence`` of the
+package, the bootstrap's ``(seed, 1)`` and the CLI's seed derivation too.
 """
 
 from __future__ import annotations
@@ -235,28 +235,25 @@ def _psd_sqrt(cov: np.ndarray) -> np.ndarray:
     return (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
 
 
-def _uint32_words(n: int) -> list[int]:
-    """``n``'s 32-bit words, least significant first, ``0`` as one zero
-    word: how ``SeedSequence`` splits each int of a tuple entropy."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    words = [n & 0xFFFFFFFF]
-    while n := n >> 32:
+def _seed_sequence(*key: int) -> np.random.SeedSequence:
+    """``SeedSequence(key)`` from the key's 32-bit words, least significant
+    first, ``0`` as one zero word: the entropy it builds from the tuple, at
+    under half the cost.  A key of at most four words is mixed as if
+    zero-padded to four, so ``(seed,)`` and ``(seed, 0, 0)`` are one stream:
+    the entry after the seed names a key's role, and no two roles share it."""
+    words = []
+    for n in map(operator.index, key):
+        if n < 0:
+            raise ValueError("expected non-negative integer")
         words.append(n & 0xFFFFFFFF)
-    return words
+        while n := n >> 32:
+            words.append(n & 0xFFFFFFFF)
+    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
 
 
 def unit_stream(seed: int, unit: int) -> np.random.Generator:
-    """Independent per-unit stream keyed on ``(seed, 0, unit)``.
-
-    ``SeedSequence`` gets the key as its ``uint32`` words: the entropy it
-    would build from the tuple itself, at under half the cost, so every
-    draw is that of ``SeedSequence((seed, 0, unit))``.
-    """
-    # The 0 keeps the key, and so the stream, that every panel was drawn from.
-    words = np.array([*_uint32_words(seed), 0, *_uint32_words(unit)], dtype=np.uint32)
-    return np.random.default_rng(np.random.SeedSequence(words))
+    """Independent per-unit stream keyed on ``(seed, 0, unit)``; ``0`` is its role."""
+    return np.random.default_rng(_seed_sequence(seed, 0, unit))
 
 
 def _unit_normals(seed: int, n: int, draws_per_unit: int) -> np.ndarray:

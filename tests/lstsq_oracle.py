@@ -44,9 +44,9 @@ def lstsq_contrast(values, grid, plan_star, plan_base):
 
 def lstsq_bootstrap(panel, plan_star, plan_base, n_boot, alpha, seed):
     """Percentile interval and the mask of degenerate replicates; replicate
-    ``b`` refits row ``b`` of the same single ``SeedSequence(seed)`` draw as
-    ``bootstrap_ci``."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    ``b`` refits row ``b`` of the same single ``SeedSequence((seed, 1))`` draw
+    as ``bootstrap_ci``."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     draws = rng.integers(0, panel.n, size=(n_boot, panel.n))
     stats = []
     degenerate = np.zeros(n_boot, dtype=bool)

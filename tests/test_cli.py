@@ -57,8 +57,8 @@ SMALL_CONFIG_DIGESTS = {
     "bias_table.csv": "fd1d0c4c459e1b5bde38aba7cacb247b40f3065aacb5bcb996623af41f05cdbe",
     "counterfactual.csv": "dfab07f7a3ac763a5a1da8355b9857ccdb87d190e18ed2e794d72cdc0d68d887",
     "observational.csv": "df6c3360abf16a4389f05f7d239e2c1f310de41cbe3280bd7bb67b6efa66357a",
-    "zeta_cells.csv": "752003a3f431fa2ddaa19ad5c9bf1c9ddf6a14e33ec7e76ac6b5357f94427248",
-    "zeta_summary.csv": "6dec5c31ffa396f631fb07462bf0cf393e51c0cf53409fc4489e242116fd218a",
+    "zeta_cells.csv": "6fe3fae558980a76b694624f0b345887c6e836f4ccd23a8ff11cb367f3acf23d",
+    "zeta_summary.csv": "6dcd1c3d3ebf619a7234d941c2d92ab4d7f4835b2ef5d2a782766ce63e21691d",
 }
 
 # A bias table of a tabulated plan whose knots fall off every grid (0.137,

@@ -20,6 +20,7 @@ from gridbias import (
     theta_naive,
     zeta,
 )
+from gridbias import sde
 from gridbias.estimation import _contrast, _fit, _quantiles, _resample_counts, _sample_fit
 from tests.conftest import make_params
 from tests.oracles import contrast_fraction
@@ -290,12 +291,24 @@ class TestResampleCounts:
     def test_counts_are_the_bincount_of_one_seeded_draw(self):
         n, n_boot, seed = 37, 60, 2**63 + 11
         counts = _resample_counts(n, n_boot, seed)
-        draws = np.random.default_rng(np.random.SeedSequence(seed)).integers(
+        draws = np.random.default_rng(np.random.SeedSequence((seed, 1))).integers(
             0, n, size=(n_boot, n)
         )
         want = np.array([np.bincount(row, minlength=n) for row in draws], dtype=float)
         np.testing.assert_array_equal(counts, want)
         np.testing.assert_array_equal(counts.sum(axis=1), np.full(n_boot, n))
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**63 + 11, 2**64 - 1])
+    def test_draws_are_no_unit_stream_of_the_seed(self, seed):
+        # A panel simulated from ``seed`` draws unit u's normals from
+        # unit_stream(seed, u); the bootstrap of that panel must not reuse
+        # those 64-bit outputs as its indices.
+        n, n_boot = 6, 5
+        counts = _resample_counts(n, n_boot, seed)
+        for u in range(n):
+            draws = sde.unit_stream(seed, u).integers(0, n, size=(n_boot, n))
+            same_way = np.array([np.bincount(row, minlength=n) for row in draws], dtype=float)
+            assert not np.array_equal(counts, same_way), f"unit {u}"
 
 
 # Finite magnitudes from 1e-300 to 1e300 of either sign.

@@ -27,6 +27,7 @@ from gridbias import (
     write_panel_csv,
 )
 from gridbias import sde
+from gridbias.cli import derive_seed
 from gridbias.sde import counterfactual_step_variance
 from tests.conftest import REF_BETA, REF_COV, REF_MEAN, REF_SIGMA, make_params
 from tests.oracles import (
@@ -220,6 +221,29 @@ class TestUnitStream:
                 simulate(-1)
             with pytest.raises(TypeError):
                 simulate(1.5)
+
+
+class TestSeedSequence:
+    """``sde._seed_sequence`` is the one place a key becomes a
+    ``SeedSequence``; each key gives the state of the tuple key itself."""
+
+    @given(st.lists(st.integers(0, 2**96 - 1), min_size=1, max_size=5))
+    def test_matches_the_tuple_key(self, key):
+        want = np.random.SeedSequence(tuple(key))
+        got = sde._seed_sequence(*key)
+        assert np.array_equal(got.generate_state(4), want.generate_state(4))
+        # The cell seed as bench/checks.py recomputes it from the tuple.
+        assert derive_seed(*key) == int(want.generate_state(1, np.uint64)[0])
+
+    @given(
+        st.lists(st.integers(0, 2**96 - 1), max_size=4),
+        st.integers(-(2**96), -1),
+        st.data(),
+    )
+    def test_negative_entry_raises(self, key, negative, data):
+        key.insert(data.draw(st.integers(0, len(key))), negative)
+        with pytest.raises(ValueError, match="non-negative"):
+            sde._seed_sequence(*key)
 
 
 class TestSimulatePanel:
