@@ -101,7 +101,8 @@ class TreatmentPlan:
     def values_at(self, ts: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at an array of times within the domain."""
         ts = np.asarray(ts, dtype=float)
-        if ts.size and (ts.min() < 0.0 or ts.max() > self.horizon):
+        # Negated, so that a NaN (which min and max propagate) fails too.
+        if ts.size and not (ts.min() >= 0.0 and ts.max() <= self.horizon):
             raise ValueError("plan evaluated outside its domain")
         idx = np.searchsorted(self.jumps, ts, side="right")
         return np.asarray(self.values, dtype=float)[idx]
@@ -125,12 +126,16 @@ def plan_integral(plan: TreatmentPlan, a: float, b: float, rate: float) -> float
 
     The schedule is constant between its jumps, so the integral is exact: a
     closed-form exponential integral per piece of ``[a, b]``, weighted by
-    the schedule's value on that piece.
+    the schedule's value on that piece.  A NaN bound and a NaN or infinite
+    ``rate`` raise ``ValueError``.
     """
-    if a > b:
+    # Negated comparisons, so that a NaN bound fails them.
+    if not a <= b:
         raise ValueError("integration bounds must satisfy a <= b")
-    if a < 0.0 or b > plan.horizon:
+    if not (a >= 0.0 and b <= plan.horizon):
         raise ValueError("integration bounds outside the plan domain")
+    if not math.isfinite(rate):
+        raise ValueError(f"integration rate must be finite, got {rate}")
     first = bisect.bisect_right(plan.jumps, a)
     last = bisect.bisect_left(plan.jumps, b)
     cuts = [a, *plan.jumps[first:last], b]

@@ -117,7 +117,12 @@ def _unit_statistics(values: np.ndarray) -> np.ndarray:
     u = values[:, :-1, 0] - values[0, 0, 0]
     v = values[:, :-1, 1] - values[0, 0, 1]
     r = values[:, 1:, 0] - values[0, 1, 0]
-    return np.stack((u, v, r, u * u, u * v, v * v, u * r, v * r), axis=1).sum(axis=2)
+    # Each column is summed along its contiguous transition axis as it is
+    # formed: the pairwise sums of an (n, 8, J) stack, bit for bit, with no
+    # stack built and one product held at a time.
+    sums = [x.sum(axis=1) for x in (u, v, r)]
+    sums += [(x * y).sum(axis=1) for x, y in ((u, u), (u, v), (v, v), (u, r), (v, r))]
+    return np.column_stack(sums)
 
 
 def _fit(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,11 +213,23 @@ def estimate_contrast(
 def _resample_counts(n: int, n_boot: int, seed: int) -> np.ndarray:
     """``(n_boot, n)`` unit multiplicities.  All indices come from one
     stream, ``default_rng(SeedSequence((seed, 1))).integers(0, n, size=(n_boot,
-    n))``; row ``b`` of that draw is replicate ``b``."""
+    n))``; row ``b`` of that draw is replicate ``b``.
+
+    The indices are drawn as ``int32``: numpy's bounded generator gives the
+    same values for ``int32`` and the default ``int64`` whenever
+    ``n < 2**31``, from half the memory.  Replicate ``b``'s offset ``n b``
+    is added in place, and ``np.add.at`` counts the flat indices straight
+    into one float array.  The flat indices stay below ``n * n_boot``; they
+    are widened to ``np.intp`` first only where that passes ``2**31``, when
+    the counts alone would take 16 GiB.
+    """
     rng = np.random.default_rng(_seed_sequence(seed, 1))
-    idx = rng.integers(0, n, size=(n_boot, n))
-    idx += n * np.arange(n_boot)[:, None]
-    return np.bincount(idx.ravel(), minlength=n_boot * n).reshape(n_boot, n).astype(float)
+    dtype = np.int32 if n * n_boot < 2**31 else np.intp
+    idx = rng.integers(0, n, size=(n_boot, n), dtype=np.int32).astype(dtype, copy=False)
+    idx += n * np.arange(n_boot, dtype=dtype)[:, None]
+    counts = np.zeros((n_boot, n))
+    np.add.at(counts.reshape(-1), idx, 1.0)
+    return counts
 
 
 def _quantiles(x: np.ndarray, q: list[float]) -> np.ndarray:

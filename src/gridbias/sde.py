@@ -260,7 +260,7 @@ def _unit_normals(seed: int, n: int, draws_per_unit: int) -> np.ndarray:
     """Standard normals of shape (n, draws_per_unit), one stream per unit."""
     z = np.empty((n, draws_per_unit))
     for i in range(n):
-        z[i] = unit_stream(seed, i).standard_normal(draws_per_unit)
+        unit_stream(seed, i).standard_normal(out=z[i])
     return z
 
 

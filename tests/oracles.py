@@ -1,8 +1,8 @@
 """Reference routes for the matrix exponential and the eigenvalue kind of
 a 2x2 drift, the noise covariance, the smaller eigenvalue of a 2x2
 covariance, the identification bias, ``theta_g``, ``eta``, the panel CSV
-writer, the treatment schedule and its integral, and the estimator's
-plug-in contrast.
+writer, the treatment schedule and its integral, the estimator's plug-in
+contrast and its per-unit sums.
 
 The package computes each quantity one way: ``e^{t m} - I`` of a 2x2
 matrix in closed form, the transition noise covariance by doubling a
@@ -11,8 +11,9 @@ smaller eigenvalue, the bias by direct subtraction ``theta_g - eta``, all
 in double precision, ``theta_g`` in closed form over the runs of equal
 sampled schedule values, each run bound found in O(1), the panel CSV from
 one formatted string per unit, a schedule from one ``(jumps, values)``
-form, its integral by walking the pieces by index, and the plug-in contrast
-by one recursion over the schedule difference.  The routes here compute the
+form, its integral by walking the pieces by index, the plug-in contrast by
+one recursion over the schedule difference, and each per-unit sum of the
+pooled fit along its own column.  The routes here compute the
 same numbers (or bytes) another way and exist only to cross-check those;
 the decimal ones are exact far below double roundoff.  :func:`expm_series`
 shares no code with the closed form, and :func:`eigen2` labels the
@@ -328,6 +329,16 @@ def contrast_fraction(coef, y0, grid, plan_star, plan_base) -> float:
             y = a + b * y + c * Fraction(w)
         ends.append(y)
     return float(ends[0] - ends[1])
+
+
+def unit_statistics_stacked(values) -> np.ndarray:
+    """The pooled fit's per-unit shifted sums (``_unit_statistics``) from
+    one ``(n, 8, J)`` stack of the eight columns, summed along its last
+    axis: the same pairwise sums the package forms one column at a time."""
+    u = values[:, :-1, 0] - values[0, 0, 0]
+    v = values[:, :-1, 1] - values[0, 0, 1]
+    r = values[:, 1:, 0] - values[0, 1, 0]
+    return np.stack((u, v, r, u * u, u * v, v * v, u * r, v * r), axis=1).sum(axis=2)
 
 
 def expm1_taylor(m, t, prec: int = 60) -> list[list[Decimal]]:

@@ -111,6 +111,15 @@ class TestTreatmentPlan:
         with pytest.raises(ValueError):
             plan(-0.1)
 
+    @pytest.mark.parametrize("t", [math.nan, -math.nan, math.inf, -math.inf])
+    def test_nan_and_infinite_times_rejected(self, t):
+        plan = TreatmentPlan.piecewise([0.2, 0.7], [1.0, -1.0, 4.0], horizon=1.0)
+        with pytest.raises(ValueError):
+            plan(t)
+        for ts in ([t], [0.0, t, 1.0], [[0.5], [t]]):
+            with pytest.raises(ValueError, match="outside its domain"):
+                plan.values_at(ts)
+
     @pytest.mark.parametrize(
         "bad",
         [
@@ -315,6 +324,25 @@ class TestPlanIntegral:
         with pytest.raises(ValueError):
             plan_integral(plan, 0.0, 1.5, 0.0)
         assert plan_integral(plan, 0.3, 0.3, 1.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "a, b, rate",
+        [
+            (math.nan, 1.0, 0.5),
+            (0.0, math.nan, 0.5),
+            (math.nan, math.nan, 0.5),
+            (-math.inf, 1.0, 0.5),
+            (0.0, math.inf, 0.5),
+            (0.0, 1.0, math.nan),
+            (0.0, 1.0, math.inf),
+            (0.0, 1.0, -math.inf),
+            (0.3, 0.3, math.nan),
+        ],
+    )
+    def test_nan_and_infinite_arguments_rejected(self, a, b, rate):
+        plan = TreatmentPlan.piecewise([0.5], [1.0, 2.0], horizon=1.0)
+        with pytest.raises(ValueError):
+            plan_integral(plan, a, b, rate)
 
     @given(
         st.floats(-3, 3),

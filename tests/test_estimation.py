@@ -21,9 +21,16 @@ from gridbias import (
     zeta,
 )
 from gridbias import sde
-from gridbias.estimation import _contrast, _fit, _quantiles, _resample_counts, _sample_fit
+from gridbias.estimation import (
+    _contrast,
+    _fit,
+    _quantiles,
+    _resample_counts,
+    _sample_fit,
+    _unit_statistics,
+)
 from tests.conftest import make_params
-from tests.oracles import contrast_fraction
+from tests.oracles import contrast_fraction, unit_statistics_stacked
 from tests.lstsq_oracle import lstsq_bootstrap, lstsq_coefficients, lstsq_contrast
 
 
@@ -288,8 +295,14 @@ class TestBootstrapCi:
 
 
 class TestResampleCounts:
-    def test_counts_are_the_bincount_of_one_seeded_draw(self):
-        n, n_boot, seed = 37, 60, 2**63 + 11
+    # Every n against every n_boot, except that n = 2**20 runs at n_boot = 2
+    # only: at 60 or 500 replicates the counts alone take 0.5 or 4 GB.
+    @pytest.mark.parametrize(
+        "n, n_boot",
+        [(n, n_boot) for n in (1, 2, 37, 200) for n_boot in (2, 60, 500)] + [(2**20, 2)],
+    )
+    def test_counts_are_the_bincount_of_one_seeded_draw(self, n, n_boot):
+        seed = 2**63 + 11
         counts = _resample_counts(n, n_boot, seed)
         draws = np.random.default_rng(np.random.SeedSequence((seed, 1))).integers(
             0, n, size=(n_boot, n)
@@ -297,6 +310,23 @@ class TestResampleCounts:
         want = np.array([np.bincount(row, minlength=n) for row in draws], dtype=float)
         np.testing.assert_array_equal(counts, want)
         np.testing.assert_array_equal(counts.sum(axis=1), np.full(n_boot, n))
+
+    @given(
+        n=st.integers(1, 2**31 - 1)
+        | st.sampled_from([1, 2, 3, 2**16, 2**16 + 1, 2**30 + 1, 2**31 - 2, 2**31 - 1]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_int32_draw_is_the_default_int64_draw(self, n, seed):
+        # _resample_counts draws its indices as int32; for every n < 2**31
+        # numpy's bounded generator gives the values of the documented
+        # int64 draw from the same stream.
+        def draw(dtype):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+            return rng.integers(0, n, size=(3, 333), dtype=dtype)
+
+        narrow, wide = draw(np.int32), draw(np.int64)
+        assert narrow.dtype == np.int32
+        np.testing.assert_array_equal(narrow.astype(np.int64), wide)
 
     @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**63 + 11, 2**64 - 1])
     def test_draws_are_no_unit_stream_of_the_seed(self, seed):
@@ -309,6 +339,28 @@ class TestResampleCounts:
             draws = sde.unit_stream(seed, u).integers(0, n, size=(n_boot, n))
             same_way = np.array([np.bincount(row, minlength=n) for row in draws], dtype=float)
             assert not np.array_equal(counts, same_way), f"unit {u}"
+
+
+class TestUnitStatistics:
+    @given(
+        J=st.integers(1, 64),
+        n=st.sampled_from([1, 2, 7, 200]),
+        scale=st.sampled_from([1e-200, 1e-8, 1.0, 1e8, 1e150]),
+        seed=st.integers(0, 2**32 - 1),
+        ties=st.booleans(),
+    )
+    def test_bit_identical_to_the_stacked_sums(self, J, n, scale, seed, ties):
+        rng = np.random.default_rng(seed)
+        values = scale * rng.standard_normal((n, J + 1, 2))
+        if ties:
+            # Repeated values and zeros of both signs, so that shifted
+            # columns hold exact zeros whose signs the sums must keep.
+            pool = np.array([0.0, -0.0, scale, -scale])
+            values = pool[rng.integers(0, len(pool), size=values.shape)]
+        got = _unit_statistics(values)
+        want = unit_statistics_stacked(values)
+        assert got.shape == (n, 8) and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
 
 # Finite magnitudes from 1e-300 to 1e300 of either sign.
