@@ -1,7 +1,10 @@
 """Command-line experiment runner.
 
-Subcommands (each takes ``--config``, ``--out`` and ``--seed``; flag values
-override the config file, which overrides built-in defaults):
+    gridbias COMMAND [--config FILE] [--out DIR]
+
+The config file fixes the whole experiment, master seed included; without
+``--config`` the built-in defaults do.  ``--out`` (default ``results``)
+says only where the CSVs go.  The commands:
 
 * ``bias-table``  -- closed-form estimands over the configured parameter
   sweep; pure analysis, no randomness.
@@ -179,42 +182,40 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact estimand tables, panel simulation and grid-halving "
         "sensitivity sweeps for the bivariate linear treatment-outcome process.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("bias-table", "closed-form estimand/bias table over the parameter sweep"),
-        ("simulate", "observational and counterfactual trajectory panels"),
-        ("zeta", "grid-halving sensitivity sweep with bootstrap intervals"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", type=Path, default=None, help="YAML config file")
-        cmd.add_argument("--out", type=Path, default=None, help="output directory")
-        cmd.add_argument("--seed", type=int, default=None, help="master seed override")
+    parser.add_argument(
+        "command",
+        choices=("bias-table", "simulate", "zeta"),
+        help="bias-table: closed-form estimand/bias table over the parameter sweep; "
+        "simulate: observational and counterfactual trajectory panels; "
+        "zeta: grid-halving sensitivity sweep with bootstrap intervals",
+    )
+    parser.add_argument(
+        "--config", type=Path, help="YAML config file (default: the built-in defaults)"
+    )
+    parser.add_argument(
+        "--out", type=Path, default=Path("results"), help="output directory (default: results)"
+    )
     return parser
-
-
-def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = load_config(args.config) if args.config is not None else ExperimentConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = str(args.out)
-    cfg.validate()
-    return cfg
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            cfg = _resolve_config(args)
-            out_dir = Path(cfg.out_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            if args.command == "bias-table":
-                paths = [cmd_bias_table(cfg, out_dir)]
-            elif args.command == "simulate":
-                paths = list(cmd_simulate(cfg, out_dir))
+            if args.config is None:
+                cfg = ExperimentConfig()
+                cfg.validate()
             else:
-                paths = list(cmd_zeta(cfg, out_dir))
+                cfg = load_config(args.config)
+            args.out.mkdir(parents=True, exist_ok=True)
+            # Each command is looked up by name at call time, so a wrapper
+            # set on this module (a tracer, a test's monkeypatch) is called.
+            if args.command == "bias-table":
+                paths = [cmd_bias_table(cfg, args.out)]
+            elif args.command == "simulate":
+                paths = list(cmd_simulate(cfg, args.out))
+            else:
+                paths = list(cmd_zeta(cfg, args.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -121,7 +121,6 @@ class ExperimentConfig:
     simulate: SimulateConfig = field(default_factory=SimulateConfig)
     zeta: ZetaConfig = field(default_factory=ZetaConfig)
     seed: int = 20260809
-    out_dir: str = "results"
 
     def validate(self) -> None:
         """Check every field and store it back typed: each real as a
@@ -148,10 +147,6 @@ class ExperimentConfig:
                     f"{name}.{key}: not read by kind {plan.kind!r}",
                 )
         _require(_count(self.seed, "seed") >= 0, "seed: must be non-negative")
-        _require(
-            isinstance(self.out_dir, str) and self.out_dir != "",
-            f"out_dir: must be a non-empty string, got {self.out_dir!r}",
-        )
         bt = self.bias_table
         for key in ("beta11", "beta21", "beta12"):
             setattr(bt, key, _sweep(getattr(bt, key), f"bias_table.{key}", _real))
@@ -202,12 +197,11 @@ class ExperimentConfig:
         return cfg
 
     def params_hash(self) -> str:
-        """Stable short digest of everything that determines an experiment
-        cell's law (used to key CSV rows across runs); the output location
-        is excluded.  Taken after :meth:`validate`, it is the same for
-        ``horizon: 1`` and ``horizon: 1.0``."""
-        law = {k: v for k, v in self.to_dict().items() if k != "out_dir"}
-        return hashlib.sha256(repr(sorted(law.items())).encode()).hexdigest()[:12]
+        """Stable short digest of the whole config, which fixes every
+        experiment cell's law (used to key CSV rows across runs).  Taken
+        after :meth:`validate`, it is the same for ``horizon: 1`` and
+        ``horizon: 1.0``."""
+        return hashlib.sha256(repr(sorted(self.to_dict().items())).encode()).hexdigest()[:12]
 
 
 def _is_int(value) -> bool:

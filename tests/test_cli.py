@@ -366,25 +366,14 @@ class TestCliExitCodes:
             ("bias-table", "model", "beta", [[True, -5.0], [-3.0, 0.5]]),
             ("bias-table", "plan_star", "value", True),
             ("bias-table", "model", "horizon", "1"),
-            ("bias-table", None, "out_dir", 5),
-            ("bias-table", None, "out_dir", None),
-            ("bias-table", None, "out_dir", ["a"]),
-            ("bias-table", None, "out_dir", ""),
         ],
     )
-    def test_wrongly_typed_field_is_exit_2(
-        self, command, section, key, value, tmp_path, capsys, monkeypatch
-    ):
-        raw = {key: value} if section is None else {section: {key: value}}
+    def test_wrongly_typed_field_is_exit_2(self, command, section, key, value, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
-        bad.write_text(yaml.safe_dump(raw))
-        monkeypatch.chdir(tmp_path)
-        # ``--out`` would override a malformed top-level ``out_dir``.
-        out = [] if section is None else ["--out", "o"]
-        code = main([command, "--config", str(bad), *out])
+        bad.write_text(yaml.safe_dump({section: {key: value}}))
+        code = main([command, "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
-        name = key if section is None else f"{section}.{key}"
-        assert f"config error: {name}" in capsys.readouterr().err
+        assert f"config error: {section}.{key}" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["bad.yaml"]
 
     def test_quoted_exponent_float_is_a_string(self, tmp_path, capsys):
@@ -394,17 +383,29 @@ class TestCliExitCodes:
         assert code == 2
         assert "config error: zeta.alpha: must be a finite number, got '5e-2'" in capsys.readouterr().err
 
-    def test_quoted_exponent_out_dir_is_a_directory_name(self, tmp_path, monkeypatch, capsys):
-        # yaml.safe_dump writes the string '1e5' unquoted, and the loader
-        # reads an unquoted 1e5 as a float, so such an out_dir must be quoted.
+    def test_seed_flag_is_exit_2(self, small_config, tmp_path, capsys):
+        # The config file fixes the seed; no flag overrides it.
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(small_config), "--out", str(out), "--seed", "7"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_dir_key_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        # Only ``--out`` names the output directory.
         monkeypatch.chdir(tmp_path)
-        cfg_path = tmp_path / "cfg.yaml"
-        cfg_path.write_text(yaml.safe_dump(SMALL_CONFIG) + 'out_dir: "1e5"\n')
-        assert main(["bias-table", "--config", str(cfg_path)]) == 0
-        assert (tmp_path / "1e5" / "bias_table.csv").is_file()
-        cfg_path.write_text(yaml.safe_dump({**SMALL_CONFIG, "out_dir": "1e5"}))
-        assert main(["bias-table", "--config", str(cfg_path)]) == 2
-        assert "out_dir: must be a non-empty string, got 100000.0" in capsys.readouterr().err
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump({**SMALL_CONFIG, "out_dir": "x"}))
+        assert main(["bias-table", "--config", str(bad)]) == 2
+        assert "config error: out_dir: unknown top-level key" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.yaml"]
+
+    def test_out_defaults_to_results(self, small_config, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["bias-table", "--config", str(small_config)]) == 0
+        got = (tmp_path / "results" / "bias_table.csv").read_bytes()
+        assert hashlib.sha256(got).hexdigest() == SMALL_CONFIG_DIGESTS["bias_table.csv"]
 
     def test_out_naming_a_file_is_exit_2(self, small_config, tmp_path, capsys):
         taken = tmp_path / "taken"
@@ -711,10 +712,12 @@ class TestSimulateCommand:
         )
         assert float(obs[0]["Y"]) == panel.values[0, 0, 0]
 
-    def test_seed_flag_changes_output(self, small_config, tmp_path):
+    def test_config_seed_changes_output(self, small_config, tmp_path):
+        reseeded = tmp_path / "reseeded.yaml"
+        reseeded.write_text(yaml.safe_dump({**SMALL_CONFIG, "seed": 7}))
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["simulate", "--config", str(small_config), "--out", str(out1)])
-        main(["simulate", "--config", str(small_config), "--out", str(out2), "--seed", "7"])
+        assert main(["simulate", "--config", str(small_config), "--out", str(out1)]) == 0
+        assert main(["simulate", "--config", str(reseeded), "--out", str(out2)]) == 0
         assert (out1 / "observational.csv").read_bytes() != (
             out2 / "observational.csv"
         ).read_bytes()
@@ -798,6 +801,34 @@ def test_small_config_output_bytes_are_pinned(small_config, tmp_path):
         assert main([command, "--config", str(small_config), "--out", str(tmp_path)]) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")}
     assert got == SMALL_CONFIG_DIGESTS
+
+
+def test_python_m_gridbias_runs_main(small_config, tmp_path):
+    # ``python -m gridbias`` runs src/gridbias/__main__.py in a fresh process.
+    src = str(Path(gridbias.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    flags = ["--config", str(small_config), "--out"]
+    done = subprocess.run(
+        [sys.executable, "-m", "gridbias", "bias-table", *flags, str(tmp_path / "m")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert main(["bias-table", *flags, str(tmp_path / "main")]) == 0
+    want = (tmp_path / "main" / "bias_table.csv").read_bytes()
+    assert (tmp_path / "m" / "bias_table.csv").read_bytes() == want
+    done = subprocess.run(
+        [sys.executable, "-m", "gridbias", "--help"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    for command in ("bias-table", "simulate", "zeta"):
+        assert command in done.stdout
 
 
 def test_run_experiments_script_writes_every_csv(small_config, tmp_path):

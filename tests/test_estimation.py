@@ -10,6 +10,7 @@ from gridbias import (
     Grid,
     TrajectoryPanel,
     TreatmentPlan,
+    ZetaReport,
     bootstrap_ci,
     estimate_contrast,
     matexp,
@@ -468,6 +469,28 @@ class TestSensitivityRatio:
     def test_endpoints_inclusive(self):
         assert sensitivity_ratio(1.0, 0.5, 0.0, 2.0) == 0.0
         assert sensitivity_ratio(-1.0, -0.5, -2.0, 0.0) == 0.0
+
+
+class TestZetaReport:
+    def test_endpoints_out_of_order(self):
+        with pytest.raises(ValueError, match="out of order"):
+            ZetaReport(tau_hat=2.0, tau_hat_half=1.5, ci_lower=3.0, ci_upper=1.0, zeta=2.0)
+
+    def test_negative_zeta(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            ZetaReport(tau_hat=2.0, tau_hat_half=1.5, ci_lower=1.0, ci_upper=3.0, zeta=-2.0)
+
+    @pytest.mark.parametrize("ci_lower, ci_upper", [(-1.0, 1.0), (0.0, 2.0), (-2.0, 0.0)])
+    @pytest.mark.parametrize("measure", [0.5, None])
+    def test_interval_covering_zero_needs_zero(self, ci_lower, ci_upper, measure):
+        interval = {"ci_lower": ci_lower, "ci_upper": ci_upper}
+        with pytest.raises(ValueError, match="covers zero"):
+            ZetaReport(tau_hat=0.1, tau_hat_half=0.2, **interval, zeta=measure)
+        ZetaReport(tau_hat=0.1, tau_hat_half=0.2, **interval, zeta=0.0)
+
+    def test_undefined_zeta_when_interval_excludes_zero(self):
+        report = ZetaReport(tau_hat=2.0, tau_hat_half=2.0, ci_lower=1.0, ci_upper=3.0, zeta=None)
+        assert report.zeta is None
 
 
 class TestZeta:
