@@ -221,7 +221,7 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         # The output directory or a file in it cannot be created or written.
-        print(f"config error: out_dir: {exc}", file=sys.stderr)
+        print(f"config error: --out: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -230,6 +230,3 @@ def main(argv=None) -> int:
         print(path)
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -191,7 +191,7 @@ class ExperimentConfig:
                     raise ConfigError(f"{key}: expected a mapping of keys")
                 extra = set(value) - {f.name for f in fields(default)}
                 if extra:
-                    raise ConfigError(f"{key}.{sorted(extra)[0]}: unknown key")
+                    raise ConfigError(f"{key}.{sorted(extra, key=str)[0]}: unknown key")
                 value = replace(default, **value)
             setattr(cfg, key, value)
         return cfg

@@ -250,7 +250,8 @@ def theta_g(params, plan: TreatmentPlan, J: int) -> float:
 
 
 def identification_bias(params, plan: TreatmentPlan, J: int) -> float:
-    """``theta_g - true_eta`` (direct subtraction; the production form)."""
+    """``theta_g - true_eta`` by direct subtraction; the bias table writes
+    the same difference inline."""
     return theta_g(params, plan, J) - true_eta(params, plan)
 
 

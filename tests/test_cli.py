@@ -1,7 +1,6 @@
 import copy
 import csv
 import hashlib
-import importlib.util
 import io
 import json
 import math
@@ -270,6 +269,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="zeta.n_bots"):
             load_config(path)
 
+    def test_unknown_keys_of_mixed_type_name_one(self, tmp_path):
+        # An int and a str key do not compare; the message still names one.
+        path = tmp_path / "mixed.yaml"
+        path.write_text("model:\n  1: 2\n  x: 3\n")
+        with pytest.raises(ConfigError, match=r"^model\.1: unknown key$"):
+            load_config(path)
+
+    def test_empty_file_is_the_built_in_defaults(self, tmp_path):
+        path = tmp_path / "empty.yaml"
+        path.write_text("")
+        assert load_config(path) == ExperimentConfig()
+        assert main(["bias-table", "--config", str(path), "--out", str(tmp_path / "f")]) == 0
+        assert main(["bias-table", "--out", str(tmp_path / "d")]) == 0
+        want = (tmp_path / "d" / "bias_table.csv").read_bytes()
+        assert (tmp_path / "f" / "bias_table.csv").read_bytes() == want
+
     def test_odd_zeta_grid_rejected_with_key_path(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("zeta:\n  j_values: [4, 7]\n")
@@ -412,7 +427,7 @@ class TestCliExitCodes:
         taken.write_text("not a directory\n")
         code = main(["bias-table", "--config", str(small_config), "--out", str(taken)])
         assert code == 2
-        assert "config error: out_dir: " in capsys.readouterr().err
+        assert "config error: --out: " in capsys.readouterr().err
         assert taken.read_text() == "not a directory\n"
 
     @pytest.mark.parametrize(
@@ -425,7 +440,7 @@ class TestCliExitCodes:
         (out / name).mkdir(parents=True)
         code = main([command, "--config", str(small_config), "--out", str(out)])
         assert code == 2
-        assert "config error: out_dir: " in capsys.readouterr().err
+        assert "config error: --out: " in capsys.readouterr().err
         assert (out / name).is_dir()
 
     def test_valid_typed_config_runs(self, tmp_path):
@@ -550,6 +565,15 @@ class TestCliExitCodes:
             code = main(["bias-table", "--config", str(bad), "--out", str(tmp_path / "o")])
             assert code == 2
             assert f"config error: {key}.{unread}" in capsys.readouterr().err
+
+    def test_zero_horizon_is_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump({"model": {"horizon": 0}}))
+        code = main(["bias-table", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: model: horizon must be a positive finite number" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.yaml"]
 
     def test_init_mean_of_wrong_length_is_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
@@ -808,17 +832,20 @@ def test_python_m_gridbias_runs_main(small_config, tmp_path):
     src = str(Path(gridbias.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     flags = ["--config", str(small_config), "--out"]
-    done = subprocess.run(
-        [sys.executable, "-m", "gridbias", "bias-table", *flags, str(tmp_path / "m")],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert main(["bias-table", *flags, str(tmp_path / "main")]) == 0
-    want = (tmp_path / "main" / "bias_table.csv").read_bytes()
-    assert (tmp_path / "m" / "bias_table.csv").read_bytes() == want
+    for command in ("bias-table", "simulate", "zeta"):
+        done = subprocess.run(
+            [sys.executable, "-m", "gridbias", command, *flags, str(tmp_path / "m")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert main([command, *flags, str(tmp_path / "main")]) == 0
+    names = sorted(p.name for p in (tmp_path / "m").iterdir())
+    assert names == sorted(SMALL_CONFIG_DIGESTS)
+    for name in names:
+        assert (tmp_path / "m" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
     done = subprocess.run(
         [sys.executable, "-m", "gridbias", "--help"],
         env=env,
@@ -829,16 +856,6 @@ def test_python_m_gridbias_runs_main(small_config, tmp_path):
     assert done.returncode == 0, done.stderr
     for command in ("bias-table", "simulate", "zeta"):
         assert command in done.stdout
-
-
-def test_run_experiments_script_writes_every_csv(small_config, tmp_path):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "run_experiments.py"
-    spec = importlib.util.spec_from_file_location("run_experiments", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    out = tmp_path / "out"
-    assert script.run(["--config", str(small_config), "--out", str(out)]) == 0
-    assert sorted(p.name for p in out.glob("*.csv")) == sorted(SMALL_CONFIG_DIGESTS)
 
 
 def test_tabulated_bias_table_bytes_are_pinned(tmp_path):

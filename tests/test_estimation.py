@@ -84,10 +84,13 @@ class TestFitTransition:
         assert n_transitions == 6 * 5
         assert resid_var == pytest.approx(0.0, abs=1e-18)
 
-    def test_too_few_transitions(self):
+    def test_too_few_transitions(self, plan_one, plan_zero):
         panel = synthetic_panel(0.0, 0.5, 0.5, n=1, J=2)
         with pytest.raises(DegenerateDesignError):
             _sample_fit(panel.values)
+        message = "^need at least 3 pooled transitions, got 2$"
+        with pytest.raises(DegenerateDesignError, match=message):
+            estimate_contrast(panel, plan_one, plan_zero)
 
     def test_constant_treatment_is_degenerate(self):
         panel = synthetic_panel(0.0, 0.5, 0.5, n=5, J=5)

@@ -228,6 +228,11 @@ class TestMatexp:
     def test_t_zero_is_identity(self):
         assert np.array_equal(matexp(FIG_BETA, 0.0), np.eye(2))
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t_is_rejected(self, t):
+        with pytest.raises(ValueError, match="^t must be finite$"):
+            matexp(FIG_BETA, t)
+
     def test_diagonal(self):
         got = matexp(np.diag([0.2, 0.5]), -1.0)
         want = np.diag([math.exp(-0.2), math.exp(-0.5)])

@@ -359,6 +359,17 @@ class TestSimulateCounterfactual:
         large = simulate_counterfactual(ref_params, plan, grid, 200, seed)
         assert np.array_equal(small.values, large.values[:50])
 
+    def test_rejects_empty_panel(self, ref_params, plan_one):
+        with pytest.raises(ValueError, match="^need at least one unit$"):
+            simulate_counterfactual(ref_params, plan_one, Grid(J=5, T=1.0), 0, seed=1)
+
+    def test_initial_variance_within_tolerance_below_zero_is_zero(self, plan_one):
+        # -1e-13 lies within COV_RTOL of the largest entry, so the covariance
+        # is accepted and Y_0 has sd 0 rather than the root of a negative.
+        p = make_params(init_cov=np.array([[-1e-13, 0.0], [0.0, 1.0]]))
+        panel = simulate_counterfactual(p, plan_one, Grid(J=4, T=1.0), 3, seed=1)
+        np.testing.assert_array_equal(panel.values[:, 0, 0], np.full(3, REF_MEAN[0]))
+
     def test_plan_must_cover_grid(self, ref_params):
         short_plan = TreatmentPlan.constant(1.0, horizon=0.5)
         with pytest.raises(ValueError):
@@ -501,6 +512,12 @@ class TestSubsamplePanel:
         panel = simulate_panel(ref_params, Grid(J=9, T=1.0), 4, seed=3)
         with pytest.raises(ValueError):
             subsample_panel(panel, 2)
+
+    @pytest.mark.parametrize("factor", [0, -2])
+    def test_rejects_factor_below_one(self, ref_params, factor):
+        panel = simulate_panel(ref_params, Grid(J=8, T=1.0), 4, seed=3)
+        with pytest.raises(ValueError, match="^factor must be >= 1$"):
+            subsample_panel(panel, factor)
 
 
 class TestPanelCsv:
@@ -888,6 +905,22 @@ def test_rank_one_covariance_is_accepted_at_every_scale(field, scale):
     rng = np.random.default_rng(20)
     for v in rng.uniform(-1.0, 1.0, size=(300, 2)) * math.sqrt(scale):
         BUILDERS[field](np.outer(v, v))
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
+def test_horizon_must_be_positive_and_finite(horizon):
+    with pytest.raises(ValueError, match="^horizon must be a positive finite number$"):
+        ModelParams(
+            beta=REF_BETA, sigma=REF_SIGMA, init_mean=REF_MEAN, init_cov=REF_COV, horizon=horizon
+        )
+    with pytest.raises(ValueError, match="^grid horizon must be positive and finite$"):
+        Grid(J=4, T=horizon)
+
+
+@pytest.mark.parametrize("J", [0, -1])
+def test_grid_needs_a_step(J):
+    with pytest.raises(ValueError, match=r"^grid needs J >= 1$"):
+        Grid(J, 1.0)
 
 
 def test_ragged_init_mean_is_rejected_by_name():
