@@ -1,36 +1,12 @@
 """Exact simulation and bias analysis for discretized continuous-time
-treatment-outcome processes."""
+treatment-outcome processes.
 
-from .estimands import (
-    TreatmentPlan,
-    identification_bias,
-    plan_integral,
-    theta_g,
-    theta_naive,
-    theta_naive_limit,
-    true_eta,
-)
-from .estimation import (
-    BootstrapFailureError,
-    DegenerateDesignError,
-    ZetaReport,
-    bootstrap_ci,
-    estimate_contrast,
-    sensitivity_ratio,
-    zeta,
-)
-from .linalg2 import matexp
-from .sde import (
-    Grid,
-    ModelParams,
-    TrajectoryPanel,
-    TransitionLaw,
-    read_panel_csv,
-    simulate_counterfactual,
-    simulate_panel,
-    subsample_panel,
-    transition_law,
-    write_panel_csv,
-)
+The public API is the ``__all__`` of each library module, re-exported here.
+"""
+
+from .estimands import *  # noqa: F403
+from .estimation import *  # noqa: F403
+from .linalg2 import *  # noqa: F403
+from .sde import *  # noqa: F403
 
 __version__ = "0.1.0"

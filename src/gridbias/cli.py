@@ -9,7 +9,7 @@ says only where the CSVs go.  The commands:
 * ``bias-table``  -- closed-form estimands over the configured parameter
   sweep; pure analysis, no randomness.
 * ``simulate``    -- one observational and one counterfactual trajectory
-  panel for plotting.
+  panel on the same grid.
 * ``zeta``        -- the grid-halving sensitivity sweep, one row per
   (beta12, J, replicate) plus a per-cell median summary.
 
@@ -202,11 +202,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            if args.config is None:
-                cfg = ExperimentConfig()
-                cfg.validate()
-            else:
-                cfg = load_config(args.config)
+            cfg = ExperimentConfig() if args.config is None else load_config(args.config)
             args.out.mkdir(parents=True, exist_ok=True)
             # Each command is looked up by name at call time, so a wrapper
             # set on this module (a tracer, a test's monkeypatch) is called.

@@ -260,7 +260,25 @@ class _LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """The safe loader, reading an exponent float such as ``5e-2``, ``1E5``
     or JSON's ``1e-05`` as a float, as YAML 1.2 and JSON do; the YAML 1.1
     resolver of PyYAML wants a dot and a signed exponent.  A quoted
-    ``"5e-2"`` stays a string."""
+    ``"5e-2"`` stays a string.  A key written twice in one mapping is an
+    error, as YAML 1.2 says; a key merged in by ``<<`` is not written, so an
+    explicit key still overrides it."""
+
+    def construct_mapping(self, node, deep=False):
+        written = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep=deep)
+        seen = set()
+        for key_node in written:
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping",
+                    node.start_mark,
+                    f"found duplicate key {key!r}",
+                    key_node.start_mark,
+                )
+            seen.add(key)
+        return mapping
 
 
 _LOADER.add_implicit_resolver(

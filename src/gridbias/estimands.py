@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,7 +217,7 @@ def theta_g(params, plan: TreatmentPlan, J: int) -> float:
     where a J-step recursion accumulates ``J`` roundings.  Raises
     ``OverflowError`` when the result exceeds the double range.
     """
-    if J < 1:
+    if operator.index(J) < 1:
         raise ValueError("J must be >= 1")
     _require_plan_covers(plan, params.horizon)
     (g11m1, g12), _ = _expm2m1_rows(params.beta.tolist(), -params.horizon / J)
@@ -279,7 +280,7 @@ def theta_naive(params, plan: TreatmentPlan, J: int) -> tuple[float, float]:
     i.e. the factual outcome mean at the horizon, which in general differs
     from :func:`true_eta`.
     """
-    if J < 2:
+    if operator.index(J) < 2:
         raise ValueError("theta_naive needs J >= 2")
     _require_plan_covers(plan, params.horizon)
     ey0, ew0 = params.init_mean.tolist()

@@ -118,7 +118,7 @@ class Grid:
     T: float
 
     def __post_init__(self):
-        if self.J < 1:
+        if operator.index(self.J) < 1:
             raise ValueError("grid needs J >= 1")
         if not (math.isfinite(self.T) and self.T > 0):
             raise ValueError("grid horizon must be positive and finite")

@@ -154,7 +154,12 @@ def read_rows(path: Path) -> list[dict]:
 
 class TestConfig:
     def test_defaults_validate(self):
-        ExperimentConfig().validate()
+        # main runs the defaults unvalidated: they must already be the
+        # typed values that validate would store.
+        cfg = ExperimentConfig()
+        want = repr(cfg.to_dict())
+        cfg.validate()
+        assert repr(cfg.to_dict()) == want
 
     def test_round_trip_identity(self, tmp_path):
         cfg = ExperimentConfig()
@@ -285,6 +290,14 @@ class TestConfig:
         want = (tmp_path / "d" / "bias_table.csv").read_bytes()
         assert (tmp_path / "f" / "bias_table.csv").read_bytes() == want
 
+    def test_merged_key_is_overridden_by_a_written_one(self, tmp_path):
+        path = tmp_path / "merge.yaml"
+        path.write_text("small: &small {n_units: 4, j: 6}\nsimulate:\n  <<: *small\n  j: 8\n")
+        raw = yaml.load(path.read_bytes(), Loader=config._LOADER)
+        assert raw["simulate"] == {"n_units": 4, "j": 8}
+        path.write_text("simulate:\n  <<: [{j: 4}, {j: 6, n_units: 3}]\n  n_units: 2\n")
+        assert load_config(path).simulate == config.SimulateConfig(n_units=2, j=4)
+
     def test_odd_zeta_grid_rejected_with_key_path(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("zeta:\n  j_values: [4, 7]\n")
@@ -367,6 +380,25 @@ class TestCliExitCodes:
         code = main(["zeta", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, key, line",
+        [
+            ("seed: 1\nseed: 2\n", "seed", 2),
+            ("{seed: 1, seed: 2}\n", "seed", 1),
+            ("zeta:\n  alpha: 0.1\n  n_boot: 10\n  alpha: 0.2\n", "alpha", 4),
+        ],
+    )
+    def test_repeated_config_key_is_exit_2(self, text, key, line, tmp_path, capsys):
+        # YAML would keep the last value; a key written twice is a typo.
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text)
+        code = main(["zeta", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: invalid YAML in {bad}: ")
+        assert f"found duplicate key {key!r}\n  in \"{bad}\", line {line}," in err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.yaml"]
 
     @pytest.mark.parametrize(
         "command, section, key, value",

@@ -427,6 +427,14 @@ class TestThetaG:
     def test_rejects_bad_grid_count(self, ref_params, plan_one):
         with pytest.raises(ValueError):
             theta_g(ref_params, plan_one, 0)
+        for J in (2.5, 8.0):
+            with pytest.raises(TypeError, match="integer"):
+                theta_g(ref_params, plan_one, J)
+
+    def test_numpy_integer_grid_count_is_a_count(self, ref_params, plan_one):
+        assert theta_g(ref_params, plan_one, np.int64(8)) == theta_g(ref_params, plan_one, 8)
+        assert theta_naive(ref_params, plan_one, np.int32(8)) == theta_naive(ref_params, plan_one, 8)
+        assert Grid(np.int64(8), 1.0).times.tolist() == Grid(8, 1.0).times.tolist()
 
     def test_depends_only_on_left_endpoint_values(self, ref_params):
         # Changing the schedule strictly between grid sample points leaves
@@ -665,6 +673,9 @@ class TestThetaNaive:
     def test_rejects_single_step(self, ref_params, plan_one):
         with pytest.raises(ValueError):
             theta_naive(ref_params, plan_one, 1)
+        for J in (2.5, 8.0):
+            with pytest.raises(TypeError, match="integer"):
+                theta_naive(ref_params, plan_one, J)
 
 
 # One drift of each eigenvalue kind.

@@ -917,10 +917,15 @@ def test_horizon_must_be_positive_and_finite(horizon):
         Grid(J=4, T=horizon)
 
 
-@pytest.mark.parametrize("J", [0, -1])
+@pytest.mark.parametrize("J", [0, -1, 2.5, 1.0])
 def test_grid_needs_a_step(J):
-    with pytest.raises(ValueError, match=r"^grid needs J >= 1$"):
-        Grid(J, 1.0)
+    # A float is no step count, even a whole one: TypeError, as for n=2.0.
+    if isinstance(J, float):
+        with pytest.raises(TypeError, match="integer"):
+            Grid(J, 1.0)
+    else:
+        with pytest.raises(ValueError, match=r"^grid needs J >= 1$"):
+            Grid(J, 1.0)
 
 
 def test_ragged_init_mean_is_rejected_by_name():
