@@ -39,7 +39,6 @@ __all__ = [
     "ModelParams",
     "Grid",
     "TrajectoryPanel",
-    "TransitionLaw",
     "transition_law",
     "simulate_panel",
     "simulate_counterfactual",
@@ -157,21 +156,10 @@ class TrajectoryPanel:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class TransitionLaw:
-    """Gaussian one-step law: ``X_next = mean_map @ X + eps``,
-    ``eps ~ N(0, noise_cov)``."""
-
-    mean_map: np.ndarray
-    noise_cov: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean_map", _frozen(_as_mat2(self.mean_map, "mean_map")))
-        object.__setattr__(self, "noise_cov", _checked_cov(self.noise_cov, "noise_cov"))
-
-
-def transition_law(params: ModelParams, delta: float) -> TransitionLaw:
-    """Exact transition law of the observable process over a step ``delta``.
+def transition_law(params: ModelParams, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact transition law of the observable process over a step ``delta``:
+    ``X_next = mean_map @ X + eps`` with ``eps ~ N(0, noise_cov)``, returned
+    as the two 2x2 float arrays ``(mean_map, noise_cov)``.
 
     The mean map is ``e^{-beta delta}``, and the noise covariance
     ``C = int_0^delta e^{-beta u} D e^{-beta' u} du`` (``D = sigma sigma'``)
@@ -183,8 +171,7 @@ def transition_law(params: ModelParams, delta: float) -> TransitionLaw:
     rows = params.beta.tolist()
     (s11, s12), (s21, s22) = params.sigma.tolist()
     d = (s11 * s11 + s12 * s12, s11 * s21 + s12 * s22, s21 * s21 + s22 * s22)
-    mean_map = np.array(_expm2_rows(rows, -delta))
-    return TransitionLaw(mean_map=mean_map, noise_cov=np.array(_noise_cov(rows, d, delta)))
+    return np.array(_expm2_rows(rows, -delta)), np.array(_noise_cov(rows, d, delta))
 
 
 def _noise_cov(rows, d, delta: float) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -230,7 +217,7 @@ def _noise_cov(rows, d, delta: float) -> tuple[tuple[float, float], tuple[float,
 
 
 def _psd_sqrt(cov: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a :func:`_checked_cov` covariance, clipped at 0."""
+    """Symmetric square root of a symmetric PSD matrix, eigenvalues clipped at 0."""
     eigvals, eigvecs = np.linalg.eigh(cov)
     return (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
 
@@ -273,15 +260,16 @@ def simulate_panel(params: ModelParams, grid: Grid, n: int, seed: int) -> Trajec
     """
     if n < 1:
         raise ValueError("need at least one unit")
-    law = transition_law(params, grid.step)
+    mean_map, noise_cov = transition_law(params, grid.step)
     init_sqrt = _psd_sqrt(params.init_cov)
-    noise_sqrt = _psd_sqrt(law.noise_cov)
+    noise_sqrt = _psd_sqrt(noise_cov)
     z = _unit_normals(seed, n, 2 * (grid.J + 1)).reshape(n, grid.J + 1, 2)
     values = np.empty((n, grid.J + 1, 2))
-    values[:, 0, :] = params.init_mean + z[:, 0, :] @ init_sqrt.T
-    for k in range(grid.J):
-        values[:, k + 1, :] = values[:, k, :] @ law.mean_map.T + z[:, k + 1, :] @ noise_sqrt.T
-    return TrajectoryPanel(grid=grid, values=values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values[:, 0, :] = params.init_mean + z[:, 0, :] @ init_sqrt.T
+        for k in range(grid.J):
+            values[:, k + 1, :] = values[:, k, :] @ mean_map.T + z[:, k + 1, :] @ noise_sqrt.T
+    return _simulated_panel(grid, values)
 
 
 def counterfactual_step_variance(params: ModelParams, delta: float) -> float:
@@ -320,8 +308,8 @@ def simulate_counterfactual(
     if n < 1:
         raise ValueError("need at least one unit")
     _require_plan_covers(plan, grid.T)
-    b11 = params.beta[0, 0]
-    b12 = params.beta[0, 1]
+    # Python floats: a forcing beyond the double range is an inf, not a warning.
+    b11, b12 = params.beta.tolist()[0]
     delta = grid.step
     times = grid.times
     decay = math.exp(-b11 * delta)
@@ -334,11 +322,20 @@ def simulate_counterfactual(
     z = _unit_normals(seed, n, grid.J + 1)
     values = np.empty((n, grid.J + 1, 2))
     values[:, :, 1] = plan.values_at(times)
-    y = params.init_mean[0] + init_sd * z[:, 0]
-    values[:, 0, 0] = y
-    for k in range(grid.J):
-        y = decay * y + forcing[k] + noise_sd * z[:, k + 1]
-        values[:, k + 1, 0] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = params.init_mean[0] + init_sd * z[:, 0]
+        values[:, 0, 0] = y
+        for k in range(grid.J):
+            y = decay * y + forcing[k] + noise_sd * z[:, k + 1]
+            values[:, k + 1, 0] = y
+    return _simulated_panel(grid, values)
+
+
+def _simulated_panel(grid: Grid, values: np.ndarray) -> TrajectoryPanel:
+    """The panel of a simulator's ``values``; ``OverflowError`` when its
+    recursion left the double range (an inf, or a NaN made from one)."""
+    if not np.isfinite(values).all():
+        raise OverflowError("simulated panel exceeds the double range")
     return TrajectoryPanel(grid=grid, values=values)
 
 

@@ -78,6 +78,17 @@ TABULATED_CONFIG = {
 }
 TABULATED_BIAS_TABLE_DIGEST = "081895551fe6959e5e2883af46ff3ba1760122e2d89a96f49ee5e3092da5089c"
 
+# sha256 of each CSV the three commands write for the shipped
+# configs/default.yaml, the full experiment battery, pinned the same way.
+DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
+DEFAULT_CONFIG_DIGESTS = {
+    "bias_table.csv": "5e22e33f0a0b2aa2d79c41f4f41d147c6e6f68ebde2014fb6a7af2d86ee42643",
+    "counterfactual.csv": "590154f3a8b4a09c1986464576a661bd56c1c312a9e7c78d33b887b228fe8db0",
+    "observational.csv": "0286870e520fdf159bb6d11b14d29b13539987b0329ea054b684b647d5be5bbe",
+    "zeta_cells.csv": "4569da2a484e04b4702b6deaafcad1bcf2d880093d96318a4c3269d8c99debf5",
+    "zeta_summary.csv": "a9a921939c56200b4a05cb09f05cc199dd95b064b96a00ba3b3a8b9989bf8c43",
+}
+
 # SMALL_CONFIG with a model section and plans whose list fields are not
 # empty, so that every typed field below has an entry to corrupt.
 TYPED_CONFIG = {
@@ -173,7 +184,7 @@ class TestConfig:
         assert (tmp_path / "cfg.yaml").read_bytes() == (tmp_path / "cfg2.yaml").read_bytes()
 
     def test_repo_default_config_parses(self):
-        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "default.yaml")
+        cfg = load_config(DEFAULT_CONFIG)
         cfg.validate()
 
     @pytest.mark.parametrize("source", ["default.yaml", "small", "json"])
@@ -184,7 +195,7 @@ class TestConfig:
         # gives.  The "json" config is written the way bench/run.py writes
         # its configs.
         if source == "default.yaml":
-            path = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
+            path = DEFAULT_CONFIG
         else:
             path = tmp_path / "cfg.yaml"
             text = yaml.safe_dump(SMALL_CONFIG) if source == "small" else json.dumps(TYPED_CONFIG, indent=1)
@@ -218,7 +229,7 @@ class TestConfig:
         # The digest keys zeta_cells.csv rows across runs; configs that
         # already write floats as floats keep the digest they always had.
         assert ExperimentConfig().params_hash() == "ba0c733a28ea"
-        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "default.yaml")
+        cfg = load_config(DEFAULT_CONFIG)
         assert cfg.params_hash() == "ba0c733a28ea"
 
     def test_params_hash_ignores_int_vs_float_spelling(self):
@@ -693,6 +704,16 @@ class TestErrorBoundary:
         with pytest.raises(error, match="injected"):
             main(["simulate", "--config", str(small_config), "--out", str(tmp_path)])
 
+    def test_simulated_panel_beyond_the_double_range_is_exit_3(self, tmp_path, capsys):
+        # e^{50/10} per step carries 1e300 past the largest double.
+        bad = tmp_path / "bad.yaml"
+        model = {"beta": [[-50.0, 0.0], [0.0, -50.0]], "init_mean": [1e300, 0.0]}
+        bad.write_text(small_config_text(model=model))
+        code = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: simulated panel exceeds the double range" in err
+
     def test_numpy_overflow_is_exit_3(self, tmp_path, capsys):
         # Squares of 1e200 in the pooled fit's sums overflow a double.
         bad = tmp_path / "bad.yaml"
@@ -852,11 +873,19 @@ class TestZetaCommand:
         assert outputs[0] == outputs[1]
 
 
-def test_small_config_output_bytes_are_pinned(small_config, tmp_path):
+def battery_digests(config, out):
+    """sha256 of each CSV the three commands write for ``config`` to ``out``."""
     for command in ("bias-table", "simulate", "zeta"):
-        assert main([command, "--config", str(small_config), "--out", str(tmp_path)]) == 0
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")}
-    assert got == SMALL_CONFIG_DIGESTS
+        assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
+
+
+def test_small_config_output_bytes_are_pinned(small_config, tmp_path):
+    assert battery_digests(small_config, tmp_path) == SMALL_CONFIG_DIGESTS
+
+
+def test_default_config_output_bytes_are_pinned(tmp_path):
+    assert battery_digests(DEFAULT_CONFIG, tmp_path) == DEFAULT_CONFIG_DIGESTS
 
 
 def test_python_m_gridbias_runs_main(small_config, tmp_path):

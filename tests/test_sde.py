@@ -16,7 +16,6 @@ from gridbias import (
     Grid,
     ModelParams,
     TrajectoryPanel,
-    TransitionLaw,
     TreatmentPlan,
     matexp,
     read_panel_csv,
@@ -67,28 +66,34 @@ class TestTransitionLaw:
             init_cov=np.zeros((2, 2)),
             horizon=1.0,
         )
-        law = transition_law(p, 1.0)
-        np.testing.assert_allclose(law.mean_map, np.eye(2), atol=1e-15)
-        np.testing.assert_allclose(law.noise_cov, np.eye(2), atol=1e-12)
+        mean_map, noise_cov = transition_law(p, 1.0)
+        np.testing.assert_allclose(mean_map, np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(noise_cov, np.eye(2), atol=1e-12)
 
     def test_deterministic_ode(self, ref_params):
         p = make_params(sigma=np.zeros((2, 2)))
-        law = transition_law(p, 0.3)
-        np.testing.assert_allclose(law.noise_cov, np.zeros((2, 2)), atol=1e-15)
-        np.testing.assert_allclose(law.mean_map, matexp(p.beta, -0.3), atol=0, rtol=1e-15)
+        mean_map, noise_cov = transition_law(p, 0.3)
+        np.testing.assert_allclose(noise_cov, np.zeros((2, 2)), atol=1e-15)
+        np.testing.assert_allclose(mean_map, matexp(p.beta, -0.3), atol=0, rtol=1e-15)
+
+    def test_returns_mean_map_and_noise_cov(self, ref_params):
+        law = transition_law(ref_params, 0.1)
+        assert type(law) is tuple and len(law) == 2
+        for a in law:
+            assert a.shape == (2, 2) and a.dtype == np.float64
 
     def test_reference_noise_cov(self, ref_params):
-        law = transition_law(ref_params, 0.1)
-        np.testing.assert_allclose(law.noise_cov, NOISE_COV_REF, rtol=1e-13, atol=1e-15)
+        _, noise_cov = transition_law(ref_params, 0.1)
+        np.testing.assert_allclose(noise_cov, NOISE_COV_REF, rtol=1e-13, atol=1e-15)
 
     def test_doubling_route_matches_quadrature_oracles(self, ref_params):
-        law = transition_law(ref_params, 0.1)
+        _, noise_cov = transition_law(ref_params, 0.1)
         closed_form_simpson = cov_simpson(
             ref_params.beta, ref_params.sigma @ ref_params.sigma.T, 0.1, 10_000
         )
-        np.testing.assert_allclose(law.noise_cov, closed_form_simpson, atol=1e-8)
+        np.testing.assert_allclose(noise_cov, closed_form_simpson, atol=1e-8)
         independent = oracle_cov_simpson(ref_params.beta, ref_params.sigma, 0.1)
-        np.testing.assert_allclose(law.noise_cov, independent, atol=1e-10)
+        np.testing.assert_allclose(noise_cov, independent, atol=1e-10)
 
     def test_rejects_nonpositive_step(self, ref_params):
         with pytest.raises(ValueError):
@@ -97,23 +102,29 @@ class TestTransitionLaw:
             transition_law(ref_params, -0.5)
 
     def test_noise_cov_is_symmetric_psd_over_random_params(self):
+        # No check runs on transition_law's output: this is the guarantee
+        # simulate_panel relies on, exact symmetry and a smallest eigenvalue
+        # within sde.COV_RTOL of the largest entry, at every diffusion scale.
         rng = np.random.default_rng(99)
         for _ in range(50):
             beta = rng.uniform(-2, 2, size=(2, 2))
-            sigma = rng.uniform(-1, 1, size=(2, 2))
-            p = ModelParams(
-                beta=beta,
-                sigma=sigma,
-                init_mean=[0.0, 0.0],
-                init_cov=np.eye(2),
-                horizon=1.0,
-            )
+            unit_sigma = rng.uniform(-1, 1, size=(2, 2))
             delta = float(rng.uniform(0.01, 1.5))
-            cov = transition_law(p, delta).noise_cov
-            assert np.array_equal(cov, cov.T)
-            assert np.linalg.eigvalsh(cov).min() >= -1e-12
-            kron = cov_kronecker(beta, sigma @ sigma.T, delta)
-            assert np.max(np.abs(cov - kron)) <= 1e-12 * np.max(np.abs(kron))
+            for scale in (1e-100, 1e-50, 1e-10, 1.0, 1e10, 1e50, 1e100):
+                sigma = scale * unit_sigma
+                p = ModelParams(
+                    beta=beta,
+                    sigma=sigma,
+                    init_mean=[0.0, 0.0],
+                    init_cov=np.eye(2),
+                    horizon=1.0,
+                )
+                _, cov = transition_law(p, delta)
+                biggest = np.max(np.abs(cov))
+                assert np.array_equal(cov, cov.T)
+                assert np.linalg.eigvalsh(cov).min() >= -sde.COV_RTOL * biggest
+                kron = cov_kronecker(beta, sigma @ sigma.T, delta)
+                assert np.max(np.abs(cov - kron)) <= 1e-12 * np.max(np.abs(kron))
 
     def test_singular_kronecker_sum_needs_no_fallback(self):
         # Opposite-sign eigenvalues make the Kronecker sum singular; the
@@ -123,10 +134,8 @@ class TestTransitionLaw:
         p = ModelParams(
             beta=beta, sigma=REF_SIGMA, init_mean=[0, 0], init_cov=np.eye(2), horizon=1.0
         )
-        law = transition_law(p, 0.2)
-        np.testing.assert_allclose(
-            law.noise_cov, oracle_cov_simpson(beta, REF_SIGMA, 0.2), atol=1e-10
-        )
+        _, noise_cov = transition_law(p, 0.2)
+        np.testing.assert_allclose(noise_cov, oracle_cov_simpson(beta, REF_SIGMA, 0.2), atol=1e-10)
 
     @pytest.mark.parametrize("J", [2, 8, 40])
     @pytest.mark.parametrize("b11", [50.0, 100.0, 400.0])
@@ -135,7 +144,7 @@ class TestTransitionLaw:
         # lost up to 1e-6 of the largest entry here, and at b11 = 100, J = 2
         # its result was not PSD.
         p = make_params(beta11=b11)
-        got = transition_law(p, 1.0 / J).noise_cov
+        _, got = transition_law(p, 1.0 / J)
         want = cov_kronecker(p.beta, REF_SIGMA @ REF_SIGMA.T, 1.0 / J)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -149,7 +158,7 @@ class TestTransitionLaw:
             beta=beta, sigma=REF_SIGMA, init_mean=[0, 0], init_cov=np.eye(2), horizon=1.0
         )
         want = cov_simpson(beta, REF_SIGMA @ REF_SIGMA.T, delta, 10_000)
-        got = transition_law(p, delta).noise_cov
+        _, got = transition_law(p, delta)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -286,6 +295,17 @@ class TestSimulatePanel:
     def test_rejects_indefinite_init_cov(self):
         with pytest.raises(ValueError):
             make_params(init_cov=np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_recursion_beyond_the_double_range_raises(self):
+        # e^{50/8} per step carries 1e300 past the largest double.  Called
+        # outside the CLI's np.errstate: the simulator must say so itself,
+        # with no RuntimeWarning (an error under this suite's filter).
+        p = ModelParams(
+            beta=np.diag([-50.0, -50.0]), sigma=REF_SIGMA, init_mean=[1e300, 0.0],
+            init_cov=REF_COV, horizon=1.0,
+        )
+        with pytest.raises(OverflowError, match="^simulated panel exceeds the double range$"):
+            simulate_panel(p, Grid(J=8, T=1.0), 3, seed=1)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("refine", [2, 3])
@@ -427,6 +447,24 @@ class TestSimulateCounterfactual:
         plan = TreatmentPlan.constant(1.0, horizon=1.0)
         with pytest.raises(OverflowError, match="counterfactual step variance"):
             simulate_counterfactual(p, plan, Grid(J=4, T=1.0), 3, seed=1)
+
+    @pytest.mark.parametrize(
+        "beta, init_mean, value",
+        [
+            # A forcing of about -1e308 per step, summed over the steps.
+            ([[0.2, 1e308], [-3.0, 0.5]], REF_MEAN, 10.0),
+            # e^{800/10} per step carries 1e300 past the largest double.
+            ([[-800.0, 0.0], [0.0, 0.5]], [1e300, 0.0], 1.0),
+        ],
+        ids=["forcing", "decay"],
+    )
+    def test_recursion_beyond_the_double_range_raises(self, beta, init_mean, value):
+        p = ModelParams(
+            beta=beta, sigma=REF_SIGMA, init_mean=init_mean, init_cov=REF_COV, horizon=1.0
+        )
+        plan = TreatmentPlan.constant(value, horizon=1.0)
+        with pytest.raises(OverflowError, match="^simulated panel exceeds the double range$"):
+            simulate_counterfactual(p, plan, Grid(J=10, T=1.0), 3, seed=1)
 
 
 @pytest.mark.slow
@@ -854,16 +892,10 @@ def _model_params(field, bad):
     return ModelParams(**{**fields, field: bad}, horizon=1.0)
 
 
-def _transition_law(field, bad):
-    return TransitionLaw(**{"mean_map": np.eye(2), "noise_cov": np.eye(2), field: bad})
-
-
 BUILDERS = {
     "beta": partial(_model_params, "beta"),
     "sigma": partial(_model_params, "sigma"),
     "init_cov": partial(_model_params, "init_cov"),
-    "mean_map": partial(_transition_law, "mean_map"),
-    "noise_cov": partial(_transition_law, "noise_cov"),
     "matexp": lambda bad: matexp(bad, 0.5),
     "eigen2": eigen2,
 }
@@ -885,7 +917,7 @@ BAD_COVARIANCES.update(
     for scale in (1e-20, 1e-15, 1e-10, 1e-5, 1e5, 1e10)
 )
 BAD_FIELD_CASES = [(f, b) for f in BUILDERS for b in BAD_MATRICES] + [
-    (f, b) for f in ("init_cov", "noise_cov") for b in BAD_COVARIANCES
+    ("init_cov", b) for b in BAD_COVARIANCES
 ]
 
 
@@ -898,7 +930,7 @@ def test_bad_field_is_rejected_by_name(field, case):
 
 
 @pytest.mark.parametrize("scale", [10.0**k for k in range(0, 11, 2)])
-@pytest.mark.parametrize("field", ["init_cov", "noise_cov"])
+@pytest.mark.parametrize("field", ["init_cov"])
 def test_rank_one_covariance_is_accepted_at_every_scale(field, scale):
     # An absolute floor on the smallest eigenvalue rejected about a quarter
     # of these at scale 1e6; roundoff grows with the scale.
@@ -944,7 +976,7 @@ NEAR_RANGE_COVARIANCES = [
 
 
 @pytest.mark.parametrize("cov, psd", NEAR_RANGE_COVARIANCES)
-@pytest.mark.parametrize("field", ["init_cov", "noise_cov"])
+@pytest.mark.parametrize("field", ["init_cov"])
 def test_covariance_near_the_double_range(field, cov, psd):
     if psd:
         BUILDERS[field](cov)
@@ -1009,6 +1041,5 @@ def test_validated_fields_are_frozen_copies():
     beta[0, 0] = 99.0
     assert params.beta[0, 0] == REF_BETA[0, 0]
     assert beta.flags.writeable
-    law = transition_law(params, 0.1)
-    for a in (params.beta, params.sigma, params.init_cov, law.mean_map, law.noise_cov):
+    for a in (params.beta, params.sigma, params.init_cov):
         assert not a.flags.writeable
