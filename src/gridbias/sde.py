@@ -14,18 +14,33 @@ The counterfactual outcome under a deterministic schedule ``w`` solves
 ``dY = -(b11 Y + b12 w_t) dt + s11 dB1 + s12 dB2`` and is sampled the same
 way from its scalar transition law.
 
-Randomness is reproducible: every unit draws from its own stream, that of
-``SeedSequence((seed, 0, unit))``, where ``seed`` is the panel seed the
-caller passes (the CLI derives one per panel or ``zeta`` cell from the
-master seed) and ``unit`` the unit's row.  A unit's draws thus depend only
-on the panel seed, its row and J, not on how many units are drawn or in
-what order.  :func:`_seed_sequence` builds every ``SeedSequence`` of the
-package, the bootstrap's ``(seed, 1)`` and the CLI's seed derivation too.
+Randomness is reproducible: every unit draws from its own stream, the one
+``default_rng(SeedSequence((seed, 0, unit)))`` gives, where ``seed`` is the
+panel seed the caller passes (the CLI derives one per panel or ``zeta`` cell
+from the master seed) and ``unit`` the unit's row.  A unit's draws thus
+depend only on the panel seed, its row and J, not on how many units are
+drawn or in what order.  The stream is ``PCG64`` seeded with the four
+64-bit words ``SeedSequence`` generates for the key.  No ``SeedSequence``
+is built per unit: :func:`_unit_seed_block` runs ``SeedSequence``'s hash
+on ``UNIT_SEED_BLOCK`` units at once in NumPy's uint32 arithmetic, and the
+generator's ``bit_generator.seed_seq`` holds the unit's words, not a
+``SeedSequence`` (nothing spawns from a unit stream).  A block takes about
+75 us against 9 us per unit for a ``SeedSequence`` and ``PCG64`` of its
+own, so a panel of fewer than about 9 units is slower than that would be
+(the default ``simulate.n_units: 5`` pays about 0.03 ms a panel), and
+every larger one is faster.
+
+:func:`_seed_sequence` builds every ``SeedSequence`` of the package: the
+bootstrap's ``(seed, 1)`` and the CLI's seed derivation.  This module
+names ``numpy.random`` inside functions only, so importing the package
+does not load it.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import io
 import math
 import operator
 from dataclasses import dataclass
@@ -58,6 +73,18 @@ COV_RTOL = 1e-12
 COV_TAYLOR_TERMS = 11
 
 PANEL_CSV_HEADER = ("unit", "k", "t", "Y", "W")
+
+# Units whose seed words are hashed together: a power of two that divides
+# 2**32, so a block never straddles a unit-word boundary.
+UNIT_SEED_BLOCK = 256
+# Blocks kept: a panel walks its units in order, so few are needed.
+UNIT_SEED_CACHE = 4
+
+# SeedSequence's hash constants (numpy.random.bit_generator), whose pool
+# holds four 32-bit words.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
 @dataclass(frozen=True)
@@ -222,12 +249,9 @@ def _psd_sqrt(cov: np.ndarray) -> np.ndarray:
     return (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
 
 
-def _seed_sequence(*key: int) -> np.random.SeedSequence:
-    """``SeedSequence(key)`` from the key's 32-bit words, least significant
-    first, ``0`` as one zero word: the entropy it builds from the tuple, at
-    under half the cost.  A key of at most four words is mixed as if
-    zero-padded to four, so ``(seed,)`` and ``(seed, 0, 0)`` are one stream:
-    the entry after the seed names a key's role, and no two roles share it."""
+def _key_words(key) -> list[int]:
+    """The 32-bit words ``SeedSequence`` makes of a key's entries, least
+    significant first, ``0`` as one zero word."""
     words = []
     for n in map(operator.index, key):
         if n < 0:
@@ -235,12 +259,120 @@ def _seed_sequence(*key: int) -> np.random.SeedSequence:
         words.append(n & 0xFFFFFFFF)
         while n := n >> 32:
             words.append(n & 0xFFFFFFFF)
-    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return words
+
+
+def _seed_sequence(*key: int) -> np.random.SeedSequence:
+    """``SeedSequence(key)`` from the key's 32-bit words (see
+    :func:`_key_words`): the entropy it builds from the tuple, at under half
+    the cost.  A key of at most four words is mixed as if zero-padded to
+    four, so ``(seed,)`` and ``(seed, 0, 0)`` are one stream: the entry after
+    the seed names a key's role, and no two roles share it."""
+    return np.random.SeedSequence(np.array(_key_words(key), dtype=np.uint32))
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of uint32 ``values``, one call per row of
+    the result: the hash constant before call ``j`` is ``consts[j]`` (a
+    column) and after it ``consts[j + 1]``."""
+    v = (values ^ consts[:-1]) * consts[1:]
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``mix`` of two uint32 arrays."""
+    v = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return v ^ (v >> 16)
+
+
+@functools.cache
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """The read-only column ``init * mult**j mod 2**32``, ``j < n``, as uint32."""
+    consts = [init]
+    for _ in range(n - 1):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return _frozen(np.array(consts, dtype=np.uint32)[:, None])
+
+
+@functools.lru_cache(maxsize=UNIT_SEED_CACHE)
+def _unit_seed_block(seed: int, block: int) -> np.ndarray:
+    """Read-only C-ordered ``(UNIT_SEED_BLOCK, 4)`` uint64 array whose row
+    ``i`` holds ``SeedSequence((seed, 0, unit)).generate_state(4, np.uint64)``
+    for ``unit = block * UNIT_SEED_BLOCK + i``.
+
+    SeedSequence's 32-bit hash over a pool of four words, run on every unit
+    of the block at once: the block is aligned and divides ``2**32``, so its
+    units' keys differ only in their lowest unit word, an array here.
+    """
+    first = block * UNIT_SEED_BLOCK
+    head = _key_words((seed, 0))
+    words = head + _key_words((first,))
+    entropy = np.zeros((max(len(words), 4), UNIT_SEED_BLOCK), dtype=np.uint32)
+    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(head)] += np.arange(UNIT_SEED_BLOCK, dtype=np.uint32)
+    # hashmix's constant advances once per call: 4 to fill the pool, 12 to
+    # mix it, 4 per entropy word past the fourth.
+    consts = _hash_consts(_INIT_A, _MULT_A, 17 + 4 * max(len(words) - 4, 0))
+    pool = _hashmix(entropy[:4], consts[:5])
+    k = 4
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k : k + 4]))
+        k += 3
+    for src in range(4, len(words)):
+        pool = _mix(pool, _hashmix(entropy[src], consts[k : k + 5]))
+        k += 4
+    # generate_state: eight 32-bit words, cycling through the pool, paired
+    # little-endian into four 64-bit ones.
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_consts(_INIT_B, _MULT_B, 9))
+    out = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+    return _frozen(out)
+
+
+@functools.cache
+def _generator_from_words():
+    """``words -> Generator(PCG64(...))`` for a unit's four seed words.
+
+    Built on first use, so ``numpy.random`` loads when a stream is drawn,
+    not when the package is imported."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class UnitSeedWords(ISeedSequence):
+        """A unit's seed words, handed to ``PCG64`` as its seed sequence."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if (n_words, dtype) != (4, np.uint64):
+                raise ValueError("a unit stream holds exactly four uint64 seed words")
+            return self.words
+
+    return lambda words: Generator(PCG64(UnitSeedWords(words)))
 
 
 def unit_stream(seed: int, unit: int) -> np.random.Generator:
-    """Independent per-unit stream keyed on ``(seed, 0, unit)``; ``0`` is its role."""
-    return np.random.default_rng(_seed_sequence(seed, 0, unit))
+    """Independent per-unit stream keyed on ``(seed, 0, unit)``; ``0`` is its role.
+
+    The stream is ``PCG64`` seeded with the four words
+    ``SeedSequence((seed, 0, unit)).generate_state(4, np.uint64)`` gives,
+    as ``default_rng(SeedSequence((seed, 0, unit)))`` seeds it, so the
+    draws are the same.  The words are the unit's row of
+    :func:`_unit_seed_block`, which hashes ``UNIT_SEED_BLOCK`` units at once
+    and keeps the last ``UNIT_SEED_CACHE`` blocks.  The generator's
+    ``bit_generator.seed_seq`` holds those words, not a ``SeedSequence``: a
+    unit stream spawns nothing.
+
+    A block costs about 75 us against about 9 us for one unit's own
+    ``SeedSequence`` and ``PCG64``, so a panel of fewer than about 9 units
+    is slower than that, and a lone call with a fresh seed goes from about
+    9 to about 70 us.
+    """
+    # Python ints as cache keys; a negative entry fails in _key_words.
+    seed, unit = operator.index(seed), operator.index(unit)
+    words = _unit_seed_block(seed, unit // UNIT_SEED_BLOCK)[unit % UNIT_SEED_BLOCK]
+    return _generator_from_words()(words)
 
 
 def _unit_normals(seed: int, n: int, draws_per_unit: int) -> np.ndarray:
@@ -424,15 +556,32 @@ def read_panel_csv(path) -> TrajectoryPanel:
 
     The rows must form a complete grid: exactly one row per ``(unit, k)``
     for units ``0..n-1`` and steps ``0..J``, with ``t`` equal to the grid
-    time ``Grid(J, T).times[k]``.  Anything else raises ``ValueError``.
+    time ``Grid(J, T).times[k]``.  Anything else raises ``ValueError``; a
+    row that is malformed, or cut by a file that does not end in a newline,
+    names its line.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        # A zero-byte file is empty like a header-only one.
-        header = tuple(next(reader, PANEL_CSV_HEADER))
-        if header != PANEL_CSV_HEADER:
-            raise ValueError(f"unexpected panel CSV header: {header}")
-        rows = [(int(u), int(k), float(t), float(y), float(w)) for u, k, t, y, w in reader]
+        text = fh.read()
+    # The writer ends every row with a newline: a file that does not was cut.
+    if text and not text.endswith("\n"):
+        line = text.count("\n") + 1
+        raise ValueError(f"panel CSV line {line}: file ends inside this row")
+    reader = csv.reader(io.StringIO(text))
+    # A zero-byte file is empty like a header-only one.
+    header = tuple(next(reader, PANEL_CSV_HEADER))
+    if header != PANEL_CSV_HEADER:
+        raise ValueError(f"unexpected panel CSV header: {header}")
+    rows = []
+    for fields in reader:
+        if len(fields) != 5:
+            raise ValueError(
+                f"panel CSV line {reader.line_num}: expected 5 fields, got {len(fields)}"
+            )
+        u, k, t, y, w = fields
+        try:
+            rows.append((int(u), int(k), float(t), float(y), float(w)))
+        except ValueError as exc:
+            raise ValueError(f"panel CSV line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError("empty panel CSV")
     if min(min(r[0], r[1]) for r in rows) < 0:

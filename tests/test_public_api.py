@@ -1,5 +1,9 @@
 import importlib
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -30,3 +34,28 @@ def test_package_reexports_exactly_the_library_modules():
     assert got.keys() == want.keys()
     for name, value in want.items():
         assert got[name] is value, name
+
+
+def test_importing_the_package_does_not_load_numpy_random():
+    # numpy.random takes milliseconds to import; it loads when a stream is
+    # first drawn, not with the package, its CLI or its config loader.
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "print('numpy.random' in sys.modules)\n"
+        "import gridbias, gridbias.cli, gridbias.config\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(gridbias.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    with_numpy, with_package = done.stdout.split()
+    if with_numpy == "True":
+        pytest.skip("this NumPy loads numpy.random when numpy is imported")
+    assert with_package == "False"

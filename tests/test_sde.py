@@ -232,6 +232,56 @@ class TestUnitStream:
                 simulate(1.5)
 
 
+class TestUnitSeedBlock:
+    """``sde._unit_seed_block`` holds, row by row, the words
+    ``SeedSequence((seed, 0, unit)).generate_state(4, np.uint64)`` gives."""
+
+    # A seed of 2**130 makes a key of seven words, three past SeedSequence's
+    # pool of four, so the extra mixing rounds run.
+    SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**130]
+    # The blocks holding units 255 and 256, and 2**32 - 1 and 2**32.
+    UNITS = [255, 256, 2**32 - 1, 2**32]
+
+    @pytest.mark.parametrize("unit", UNITS)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_every_row_is_the_seed_sequence_state(self, seed, unit):
+        block = unit // sde.UNIT_SEED_BLOCK
+        words = sde._unit_seed_block(seed, block)
+        assert words.shape == (sde.UNIT_SEED_BLOCK, 4)
+        assert words.dtype == np.uint64
+        assert words.flags.c_contiguous and not words.flags.writeable
+        first = block * sde.UNIT_SEED_BLOCK
+        want = [
+            np.random.SeedSequence((seed, 0, first + i)).generate_state(4, np.uint64)
+            for i in range(sde.UNIT_SEED_BLOCK)
+        ]
+        np.testing.assert_array_equal(words, want)
+
+    def test_block_divides_the_unit_word(self):
+        size = sde.UNIT_SEED_BLOCK
+        assert size & (size - 1) == 0 and 2**32 % size == 0
+
+    def test_draws_are_the_same_fresh_cached_and_evicted(self):
+        seed, unit = 2**64 - 1, 300
+        sde._unit_seed_block.cache_clear()
+        assert_same_stream(sde.unit_stream(seed, unit), tuple_key_stream(seed, unit))
+        misses = sde._unit_seed_block.cache_info().misses
+        assert_same_stream(sde.unit_stream(seed, unit), tuple_key_stream(seed, unit))
+        assert sde._unit_seed_block.cache_info().misses == misses
+        for other in range(5):
+            sde.unit_stream(other, unit)
+        assert_same_stream(sde.unit_stream(seed, unit), tuple_key_stream(seed, unit))
+        # Five other seeds evicted the block, so it was hashed again.
+        assert sde._unit_seed_block.cache_info().misses == misses + 6
+
+    def test_seed_seq_holds_the_units_words(self):
+        seed_seq = sde.unit_stream(7, 3).bit_generator.seed_seq
+        want = np.random.SeedSequence((7, 0, 3)).generate_state(4, np.uint64)
+        np.testing.assert_array_equal(seed_seq.generate_state(4, np.uint64), want)
+        with pytest.raises(ValueError, match="four uint64 seed words"):
+            seed_seq.generate_state(8, np.uint32)
+
+
 class TestSeedSequence:
     """``sde._seed_sequence`` is the one place a key becomes a
     ``SeedSequence``; each key gives the state of the tuple key itself."""
@@ -628,6 +678,36 @@ class TestPanelCsv:
             tracemalloc.stop()
         assert peak < 5_000_000
 
+    def test_file_cut_inside_its_last_row_is_rejected(self, ref_params, tmp_path):
+        path = tmp_path / "panel.csv"
+        write_panel_csv(simulate_panel(ref_params, Grid(J=100, T=1.0), 5, seed=6), path)
+        text = path.read_bytes()
+        start = text.rindex(b"\n", 0, -1) + 1
+        n_lines = text.count(b"\n")
+        # Every cut that keeps part of the last row, up to all of it but
+        # its newline: some of them still parse as a shorter W.
+        for end in range(start + 1, len(text)):
+            path.write_bytes(text[:end])
+            with pytest.raises(ValueError, match=f"^panel CSV line {n_lines}: "):
+                read_panel_csv(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0,1", "expected 5 fields, got 2"),
+            ("0,1,0.25,1.0,0.0,7", "expected 5 fields, got 6"),
+            ("A,1,0.25,1.0,0.0", "invalid literal for int"),
+            ("0,1,0.25,abc,0.0", "could not convert string to float"),
+        ],
+        ids=["too-few", "too-many", "text-index", "text-value"],
+    )
+    def test_malformed_row_names_its_line(self, row, message, ref_params, tmp_path):
+        path, lines = self._written_lines(ref_params, tmp_path)
+        lines[4] = row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^panel CSV line 5: {message}"):
+            read_panel_csv(path)
+
     def test_values_are_shortest_round_trip_decimals(self, ref_params, tmp_path):
         panel = simulate_panel(ref_params, Grid(J=2, T=1.0), 2, seed=4)
         path = tmp_path / "panel.csv"
@@ -668,7 +748,7 @@ class TestPanelCsvCorruption:
         panel=panels().filter(lambda p: p.n >= 2),
         mutation=st.sampled_from(
             ["drop row", "repeat row", "index -1", "index past end", "t one ulp",
-             "drop field", "text field", "nan field", "inf field"]
+             "drop field", "text field", "nan field", "inf field", "cut last row"]
         ),
         data=st.data(),
     )
@@ -692,13 +772,19 @@ class TestPanelCsvCorruption:
                 fields[2] = repr(math.nextafter(float(fields[2]), toward))
             elif mutation == "drop field":
                 del fields[data.draw(st.integers(0, 4), label="field")]
-            else:
+            elif mutation in ("text field", "nan field", "inf field"):
                 text = {"text field": "abc", "nan field": "nan", "inf field": "inf"}[mutation]
                 fields[data.draw(st.integers(0, 4), label="field")] = text
-            if mutation not in ("drop row", "repeat row"):
+            if mutation not in ("drop row", "repeat row", "cut last row"):
                 rows[i] = ",".join(fields)
-            path.write_text("\n".join([header, *rows]) + "\n")
-            with pytest.raises(ValueError):
+            content = "\n".join([header, *rows]) + "\n"
+            if mutation == "cut last row":
+                # Keep 1 to all of the last row's characters, not its newline.
+                content = content[: -data.draw(st.integers(1, len(rows[-1])), label="cut")]
+            path.write_text(content)
+            # A malformed or cut row is named by its line.
+            named = mutation in ("drop field", "text field", "cut last row")
+            with pytest.raises(ValueError, match="line" if named else None):
                 read_panel_csv(path)
 
 
