@@ -16,8 +16,10 @@ evaluated at the fitted one-step map, with no numerical integration.
 
 Interval estimates come from a nonparametric bootstrap that resamples
 whole units with replacement (preserving within-unit dependence) and uses
-percentile intervals with linearly interpolated order statistics; all
-replicates are fit in one batch.
+percentile intervals with linearly interpolated order statistics.  The
+replicates' unit counts are formed a block at a time (``RESAMPLE_BLOCK``),
+each block reduced to its replicates' totals of the per-unit sums, and all
+replicates are fit from those totals in one batch.
 
 The half-grid sensitivity measure compares the full-grid estimate with the
 one recomputed on every second grid point: it is 0 when the confidence
@@ -70,6 +72,12 @@ DESIGN_FAILURES = (
     "the treatment is constant",
     "the lagged outcome and the treatment are collinear",
 )
+
+# Unit counts the bootstrap forms at once, in blocks of whole replicates:
+# 16384 float64 counts are 128 KiB, glibc's default mmap threshold, so a
+# block's count and index buffers come from the heap and reuse its pages
+# rather than being mapped, and page-faulted, afresh in every cell.
+RESAMPLE_BLOCK = 16384
 
 
 class DegenerateDesignError(ArithmeticError):
@@ -125,23 +133,22 @@ def _unit_statistics(values: np.ndarray) -> np.ndarray:
     return np.column_stack(sums)
 
 
-def _fit(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pooled OLS on every resample given by a row of ``counts``.
+def _fit(values: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pooled OLS on every resample given by a row of ``totals``.
 
-    ``counts[b, i]`` is how often unit ``i`` appears in resample ``b`` (all
-    ones for the sample itself); every row sums to ``n``.  Returns the
-    coefficients ``(B, 3)`` and a ``(B, 3)`` mask of the rank tests each
-    resample fails, in the order of :data:`DESIGN_FAILURES`; a resample
-    failing any of them is rank deficient and its coefficients are zero.
-    Totals of the shifted sums (:func:`_unit_statistics`) are summed
-    relative to unit 0, ``n S_0 + sum_i c_i (S_i - S_0)``, so that resamples
-    of identical units give bit-identical totals whatever their counts.  The
-    slopes ``(b, c)`` solve the centred 2x2 normal equations by Cramer's
-    rule, and the intercept follows from the shifted means.
+    ``totals[b]`` holds resample ``b``'s totals of the shifted sums of
+    :func:`_unit_statistics`, formed relative to unit 0 as ``n S_0 + sum_i
+    c_i (S_i - S_0)`` from its unit counts ``c_i`` (all ones for the sample
+    itself), so that resamples of identical units give bit-identical totals
+    whatever their counts.  Returns the coefficients ``(B, 3)`` and a
+    ``(B, 3)`` mask of the rank tests each resample fails, in the order of
+    :data:`DESIGN_FAILURES`; a resample failing any of them is rank
+    deficient and its coefficients are zero.  The slopes ``(b, c)`` solve
+    the centred 2x2 normal equations by Cramer's rule, and the intercept
+    follows from the shifted means.
     """
-    n, n_trans = len(values), len(values) * (values.shape[1] - 1)
-    stats = _unit_statistics(values)
-    su, sv, sr, suu, suv, svv, sur, svr = (n * stats[0] + counts @ (stats - stats[0])).T
+    n_trans = len(values) * (values.shape[1] - 1)
+    su, sv, sr, suu, suv, svv, sur, svr = totals.T
     a11 = suu - su * su / n_trans
     a12 = suv - su * sv / n_trans
     a22 = svv - sv * sv / n_trans
@@ -169,9 +176,10 @@ def _sample_fit(values: np.ndarray) -> np.ndarray:
     """:func:`_fit` of the sample itself (one all-ones resample); raises
     :class:`DegenerateDesignError`, naming the failed rank test, if its
     design is rank deficient."""
-    coef, failed = _fit(values, np.ones((1, len(values))))
+    n, stats = len(values), _unit_statistics(values)
+    coef, failed = _fit(values, n * stats[0] + np.ones((1, n)) @ (stats - stats[0]))
     if failed.any():
-        n_transitions = len(values) * (values.shape[1] - 1)
+        n_transitions = n * (values.shape[1] - 1)
         if n_transitions < 3:
             raise DegenerateDesignError(
                 f"need at least 3 pooled transitions, got {n_transitions}"
@@ -210,26 +218,44 @@ def estimate_contrast(
     return float(tau[0])
 
 
-def _resample_counts(n: int, n_boot: int, seed: int) -> np.ndarray:
-    """``(n_boot, n)`` unit multiplicities.  All indices come from one
-    stream, ``default_rng(SeedSequence((seed, 1))).integers(0, n, size=(n_boot,
+def _resample_totals(stats: np.ndarray, n_boot: int, seed: int) -> np.ndarray:
+    """``(n_boot, 8)`` totals ``n S_0 + counts @ (S - S_0)`` of the unit
+    statistics ``stats`` (:func:`_unit_statistics`) over ``n_boot``
+    resamples, where ``counts[b, i]`` is how often unit ``i`` appears in
+    resample ``b``.  All indices come from one stream,
+    ``default_rng(SeedSequence((seed, 1))).integers(0, n, size=(n_boot,
     n))``; row ``b`` of that draw is replicate ``b``.
 
-    The indices are drawn as ``int32``: numpy's bounded generator gives the
-    same values for ``int32`` and the default ``int64`` whenever
-    ``n < 2**31``, from half the memory.  Replicate ``b``'s offset ``n b``
-    is added in place, and ``np.add.at`` counts the flat indices straight
-    into one float array.  The flat indices stay below ``n * n_boot``; they
-    are widened to ``np.intp`` first only where that passes ``2**31``, when
-    the counts alone would take 16 GiB.
+    The draw is taken in blocks of at most ``RESAMPLE_BLOCK // n``
+    replicates (one at least), which continue the one stream: for an
+    ``int32`` draw numpy's bounded generator keeps its spare 32-bit half
+    word in the bit generator between calls, and it gives the values of
+    the default ``int64`` draw whenever ``n < 2**31``.  A block's offsets
+    ``n b`` are added to its indices in place, ``np.add.at`` counts the
+    flat indices, which stay below ``max(RESAMPLE_BLOCK, n)``, into one
+    reused float buffer, and one ``matmul`` of the whole buffer gives the
+    block's totals.
     """
+    n = len(stats)
+    rows = min(n_boot, max(1, RESAMPLE_BLOCK // n))
     rng = np.random.default_rng(_seed_sequence(seed, 1))
-    dtype = np.int32 if n * n_boot < 2**31 else np.intp
-    idx = rng.integers(0, n, size=(n_boot, n), dtype=np.int32).astype(dtype, copy=False)
-    idx += n * np.arange(n_boot, dtype=dtype)[:, None]
-    counts = np.zeros((n_boot, n))
-    np.add.at(counts.reshape(-1), idx, 1.0)
-    return counts
+    diff = stats - stats[0]
+    offsets = n * np.arange(rows, dtype=np.int32)[:, None]
+    counts = np.empty((rows, n))
+    block = np.empty((rows, stats.shape[1]))
+    totals = np.empty((n_boot, stats.shape[1]))
+    for start in range(0, n_boot, rows):
+        m = min(rows, n_boot - start)
+        idx = rng.integers(0, n, size=(m, n), dtype=np.int32)
+        idx += offsets[:m]
+        counts.fill(0.0)
+        np.add.at(counts.reshape(-1), idx, 1.0)
+        # The whole buffer, so every block's product has one shape and the
+        # BLAS sums each replicate's row the same way.
+        np.matmul(counts, diff, out=block)
+        totals[start : start + m] = block[:m]
+    totals += n * stats[0]
+    return totals
 
 
 def _quantiles(x: np.ndarray, q: list[float]) -> np.ndarray:
@@ -270,11 +296,12 @@ def bootstrap_ci(
 
     Resamples whole units with replacement.  One stream keyed on
     ``(seed, 1)``, no unit stream of the seed, draws the indices of every
-    replicate at once (see :func:`_resample_counts`), so the interval is
+    replicate (see :func:`_resample_totals`), so the interval is
     deterministic given the seed.  The pooled fit depends on the data only
     through per-unit sufficient statistics, so a replicate is not refit on
-    copied data: its unit counts weight those statistics, and one
-    vectorised 2x2 solve by Cramer's rule fits all replicates.  Quantiles
+    copied data: its unit counts, formed a block of replicates at a time,
+    weight those statistics into its totals, and one vectorised 2x2 solve
+    by Cramer's rule fits all replicates from their totals.  Quantiles
     interpolate linearly between order statistics, bit for bit as
     ``np.quantile`` does (:func:`_quantiles`).  Replicates whose design is
     rank deficient are skipped; more than 10% of them raises
@@ -284,7 +311,8 @@ def bootstrap_ci(
         raise ValueError("need at least 2 bootstrap replicates")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    coef, failed = _fit(panel.values, _resample_counts(panel.n, n_boot, seed))
+    values = panel.values
+    coef, failed = _fit(values, _resample_totals(_unit_statistics(values), n_boot, seed))
     degenerate = failed.any(axis=1)
     stats = _contrast(coef, panel.grid, plan_star, plan_base)
     failures = int(degenerate.sum())

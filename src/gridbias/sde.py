@@ -30,6 +30,11 @@ own, so a panel of fewer than about 9 units is slower than that would be
 (the default ``simulate.n_units: 5`` pays about 0.03 ms a panel), and
 every larger one is faster.
 
+A simulated panel is built in its own buffer: :func:`simulate_panel`
+draws each unit's normals into the unit's row of the panel array and runs
+the recursion over them in place, and both simulators hand their buffer,
+frozen, to :class:`TrajectoryPanel`, which keeps it without a copy.
+
 :func:`_seed_sequence` builds every ``SeedSequence`` of the package: the
 bootstrap's ``(seed, 1)`` and the CLI's seed derivation.  This module
 names ``numpy.random`` inside functions only, so importing the package
@@ -164,19 +169,30 @@ class Grid:
 class TrajectoryPanel:
     """``n`` units observed on a grid; ``values[i, k]`` is ``(Y, W)``.
 
-    The value array is frozen after construction; panels are safe to share.
+    The panel keeps a float64 ``ndarray`` that is read-only and owns its
+    data, as a simulator hands over; anything else is copied and the copy
+    frozen, so a caller's later writes to the array it passed do not reach
+    the panel.  Panels are safe to share as long as no caller makes an
+    array it handed over writable again.
     """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
+        v = self.values
+        if not (
+            type(v) is np.ndarray
+            and v.dtype == np.float64
+            and v.flags.owndata
+            and not v.flags.writeable
+        ):
+            v = _frozen(np.array(v, dtype=float))
         if v.ndim != 3 or v.shape[1:] != (self.grid.J + 1, 2):
             raise ValueError(f"values shape {v.shape} is not (n, {self.grid.J + 1}, 2)")
         if not np.all(np.isfinite(v)):
             raise ValueError("panel values must be finite")
-        object.__setattr__(self, "values", _frozen(v))
+        object.__setattr__(self, "values", v)
 
     @property
     def n(self) -> int:
@@ -375,12 +391,11 @@ def unit_stream(seed: int, unit: int) -> np.random.Generator:
     return _generator_from_words()(words)
 
 
-def _unit_normals(seed: int, n: int, draws_per_unit: int) -> np.ndarray:
-    """Standard normals of shape (n, draws_per_unit), one stream per unit."""
-    z = np.empty((n, draws_per_unit))
-    for i in range(n):
-        unit_stream(seed, i).standard_normal(out=z[i])
-    return z
+def _unit_normals(seed: int, out: np.ndarray) -> None:
+    """Fill the C-contiguous ``(n, draws)`` array ``out`` with standard
+    normals, row ``i`` from unit ``i``'s stream."""
+    for i, row in enumerate(out):
+        unit_stream(seed, i).standard_normal(out=row)
 
 
 def simulate_panel(params: ModelParams, grid: Grid, n: int, seed: int) -> TrajectoryPanel:
@@ -389,18 +404,25 @@ def simulate_panel(params: ModelParams, grid: Grid, n: int, seed: int) -> Trajec
     Each unit's initial state is drawn from the initial Gaussian law and
     advanced through the exact one-step transition; marginal laws carry no
     discretization error.  Deterministic given (params, grid, n, seed).
+
+    The normals are drawn into the panel's own buffer, unit ``i``'s
+    ``2 (J + 1)`` of them into its row, and the recursion overwrites each
+    step's pair with its state in place; the panel takes that buffer
+    without a copy.
     """
     if n < 1:
         raise ValueError("need at least one unit")
     mean_map, noise_cov = transition_law(params, grid.step)
     init_sqrt = _psd_sqrt(params.init_cov)
     noise_sqrt = _psd_sqrt(noise_cov)
-    z = _unit_normals(seed, n, 2 * (grid.J + 1)).reshape(n, grid.J + 1, 2)
     values = np.empty((n, grid.J + 1, 2))
+    _unit_normals(seed, values.reshape(n, -1))
     with np.errstate(over="ignore", invalid="ignore"):
-        values[:, 0, :] = params.init_mean + z[:, 0, :] @ init_sqrt.T
+        z = values[:, 0, :]
+        z[:] = params.init_mean + z @ init_sqrt.T
         for k in range(grid.J):
-            values[:, k + 1, :] = values[:, k, :] @ mean_map.T + z[:, k + 1, :] @ noise_sqrt.T
+            z = values[:, k + 1, :]
+            z[:] = values[:, k, :] @ mean_map.T + z @ noise_sqrt.T
     return _simulated_panel(grid, values)
 
 
@@ -451,7 +473,8 @@ def simulate_counterfactual(
         [-b12 * plan_integral(plan, times[k], times[k + 1], b11) for k in range(grid.J)]
     )
     init_sd = math.sqrt(max(params.init_cov[0, 0], 0.0))
-    z = _unit_normals(seed, n, grid.J + 1)
+    z = np.empty((n, grid.J + 1))
+    _unit_normals(seed, z)
     values = np.empty((n, grid.J + 1, 2))
     values[:, :, 1] = plan.values_at(times)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -464,11 +487,12 @@ def simulate_counterfactual(
 
 
 def _simulated_panel(grid: Grid, values: np.ndarray) -> TrajectoryPanel:
-    """The panel of a simulator's ``values``; ``OverflowError`` when its
-    recursion left the double range (an inf, or a NaN made from one)."""
+    """The panel of a simulator's own ``values`` buffer, frozen and handed
+    over without a copy; ``OverflowError`` when its recursion left the
+    double range (an inf, or a NaN made from one)."""
     if not np.isfinite(values).all():
         raise OverflowError("simulated panel exceeds the double range")
-    return TrajectoryPanel(grid=grid, values=values)
+    return TrajectoryPanel(grid=grid, values=_frozen(values))
 
 
 def subsample_panel(panel: TrajectoryPanel, factor: int) -> TrajectoryPanel:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from gridbias.estimation import (
     _contrast,
     _fit,
     _quantiles,
-    _resample_counts,
+    _resample_totals,
     _sample_fit,
     _unit_statistics,
 )
@@ -290,6 +291,17 @@ class TestBootstrapCi:
         with pytest.raises(BootstrapFailureError):
             bootstrap_ci(panel, plan_one, plan_zero, 20, 0.05, seed=3)
 
+    def test_many_replicates_hold_no_count_matrix(self, ref_params, plan_one, plan_zero):
+        # 20000 replicates of 200 units: their counts alone would take 32 MB.
+        panel = simulate_panel(ref_params, Grid(J=40, T=1.0), 200, seed=23)
+        tracemalloc.start()
+        try:
+            bootstrap_ci(panel, plan_one, plan_zero, 20000, 0.05, seed=23)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_parameter_validation(self, ref_params, plan_one, plan_zero):
         panel = simulate_panel(ref_params, Grid(J=4, T=1.0), 10, seed=1)
         with pytest.raises(ValueError):
@@ -298,22 +310,41 @@ class TestBootstrapCi:
             bootstrap_ci(panel, plan_one, plan_zero, 10, 1.5, seed=1)
 
 
-class TestResampleCounts:
-    # Every n against every n_boot, except that n = 2**20 runs at n_boot = 2
-    # only: at 60 or 500 replicates the counts alone take 0.5 or 4 GB.
+def integer_statistics(n, seed=0):
+    """``(n, 8)`` integer-valued unit statistics: every product and sum of
+    their totals is exact, so the totals do not depend on the order in
+    which a matrix product sums them."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(-(2**20), 2**20, size=(n, 8)).astype(float)
+
+
+def totals_of_draws(stats, draws):
+    """``n S_0 + counts @ (S - S_0)``, ``counts`` the bincount of each row
+    of ``draws``."""
+    n = len(stats)
+    counts = np.array([np.bincount(row, minlength=n) for row in draws], dtype=float)
+    return n * stats[0] + counts @ (stats - stats[0])
+
+
+class TestResampleTotals:
+    # Block boundaries: one unit (16384 replicates a block); more than 16384
+    # units (one replicate a block); n_boot not a multiple of the block's 81
+    # rows; 127 rows of 129 units, an odd number of 32-bit draws a block;
+    # and 2**20 units, whose two replicates alone would take 16 MB of counts.
     @pytest.mark.parametrize(
         "n, n_boot",
-        [(n, n_boot) for n in (1, 2, 37, 200) for n_boot in (2, 60, 500)] + [(2**20, 2)],
+        [(1, 2), (1, 2 * 16384 + 3), (16385, 3), (20000, 2), (200, 500), (200, 81)]
+        + [(37, 60), (37, 1000), (129, 300), (2, 20000), (2**20, 2)],
     )
-    def test_counts_are_the_bincount_of_one_seeded_draw(self, n, n_boot):
+    def test_totals_of_one_seeded_draw(self, n, n_boot):
         seed = 2**63 + 11
-        counts = _resample_counts(n, n_boot, seed)
+        stats = integer_statistics(n)
+        totals = _resample_totals(stats, n_boot, seed)
         draws = np.random.default_rng(np.random.SeedSequence((seed, 1))).integers(
             0, n, size=(n_boot, n)
         )
-        want = np.array([np.bincount(row, minlength=n) for row in draws], dtype=float)
-        np.testing.assert_array_equal(counts, want)
-        np.testing.assert_array_equal(counts.sum(axis=1), np.full(n_boot, n))
+        assert totals.shape == (n_boot, 8)
+        assert totals.tobytes() == totals_of_draws(stats, draws).tobytes()
 
     @given(
         n=st.integers(1, 2**31 - 1)
@@ -321,7 +352,7 @@ class TestResampleCounts:
         seed=st.integers(0, 2**64 - 1),
     )
     def test_int32_draw_is_the_default_int64_draw(self, n, seed):
-        # _resample_counts draws its indices as int32; for every n < 2**31
+        # _resample_totals draws its indices as int32; for every n < 2**31
         # numpy's bounded generator gives the values of the documented
         # int64 draw from the same stream.
         def draw(dtype):
@@ -332,17 +363,33 @@ class TestResampleCounts:
         assert narrow.dtype == np.int32
         np.testing.assert_array_equal(narrow.astype(np.int64), wide)
 
+    @given(
+        n=st.integers(1, 2**31 - 1) | st.sampled_from([1, 2, 3, 129, 2**31 - 1]),
+        sizes=st.lists(st.integers(0, 7), min_size=1, max_size=6),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_consecutive_int32_draws_continue_one_draw(self, n, sizes, seed):
+        # The blocks of _resample_totals: an int32 draw of an odd number of
+        # values leaves its spare 32-bit half word in the bit generator,
+        # and the next call starts from it.
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+        pieces = [rng.integers(0, n, size=(m, 3), dtype=np.int32) for m in sizes]
+        whole = np.random.default_rng(np.random.SeedSequence((seed, 1))).integers(
+            0, n, size=(sum(sizes), 3)
+        )
+        np.testing.assert_array_equal(np.concatenate(pieces).astype(np.int64), whole)
+
     @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**63 + 11, 2**64 - 1])
     def test_draws_are_no_unit_stream_of_the_seed(self, seed):
         # A panel simulated from ``seed`` draws unit u's normals from
         # unit_stream(seed, u); the bootstrap of that panel must not reuse
         # those 64-bit outputs as its indices.
         n, n_boot = 6, 5
-        counts = _resample_counts(n, n_boot, seed)
+        stats = integer_statistics(n)
+        totals = _resample_totals(stats, n_boot, seed)
         for u in range(n):
             draws = sde.unit_stream(seed, u).integers(0, n, size=(n_boot, n))
-            same_way = np.array([np.bincount(row, minlength=n) for row in draws], dtype=float)
-            assert not np.array_equal(counts, same_way), f"unit {u}"
+            assert not np.array_equal(totals, totals_of_draws(stats, draws)), f"unit {u}"
 
 
 class TestUnitStatistics:
@@ -438,7 +485,8 @@ class TestAgainstLstsqOracle:
         # first, unit 0's treatment, by which the sums are shifted, is not
         # the constant, so a resample's shifted treatment is a nonzero constant.
         panel = partly_constant_treatment_panel(n=50, varying=varying, w=w, first=first)
-        _, failed = _fit(panel.values, _resample_counts(panel.n, 500, seed=7))
+        totals = _resample_totals(_unit_statistics(panel.values), 500, seed=7)
+        _, failed = _fit(panel.values, totals)
         want_lo, want_hi, dropped = lstsq_bootstrap(panel, plan_one, plan_zero, 500, 0.05, 7)
         assert 0 < dropped.sum() <= 50 if varying == 3 else dropped.sum() > 50
         np.testing.assert_array_equal(failed.any(axis=1), dropped)
@@ -560,7 +608,7 @@ class TestZeta:
         values[:, :, 0] = sy * values[:, :, 0] + dy
         values[:, :, 1] = sw * values[:, :, 1] + dw
         moved = TrajectoryPanel(grid=panel.grid, values=values)
-        _, failed = _fit(values, _resample_counts(panel.n, 500, seed=14))
+        _, failed = _fit(values, _resample_totals(_unit_statistics(values), 500, seed=14))
         assert not failed.any()
         want = zeta(panel, plan_one, plan_zero, 500, 0.05, seed=14)
         got = zeta(moved, plan_one, plan_zero, 500, 0.05, seed=14)

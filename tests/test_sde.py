@@ -964,6 +964,43 @@ class TestPanelType:
         with pytest.raises(ValueError, match=r"is not \(n, 4, 2\)"):
             TrajectoryPanel(grid=Grid(J=3, T=1.0), values=np.zeros(shape))
 
+    @pytest.mark.parametrize("view", [False, True], ids=["array", "view"])
+    def test_caller_mutation_does_not_reach_the_panel(self, view):
+        base = np.arange(24.0).reshape(3, 4, 2)
+        values = base[:, :, :] if view else base
+        panel = TrajectoryPanel(grid=Grid(J=3, T=1.0), values=values)
+        base[...] = -1.0
+        np.testing.assert_array_equal(panel.values, np.arange(24.0).reshape(3, 4, 2))
+        assert not panel.values.flags.writeable
+
+    def test_read_only_view_of_a_writable_array_is_copied(self):
+        base = np.zeros((2, 4, 2))
+        values = base[:, :, :]
+        values.setflags(write=False)
+        panel = TrajectoryPanel(grid=Grid(J=3, T=1.0), values=values)
+        base[...] = 1.0
+        np.testing.assert_array_equal(panel.values, 0.0)
+
+    def test_read_only_owned_array_is_kept(self):
+        values = np.zeros((2, 4, 2))
+        values.setflags(write=False)
+        assert TrajectoryPanel(grid=Grid(J=3, T=1.0), values=values).values is values
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_other_dtypes_are_copied_to_float64(self, dtype):
+        values = np.zeros((2, 4, 2), dtype=dtype)
+        values.setflags(write=False)
+        panel = TrajectoryPanel(grid=Grid(J=3, T=1.0), values=values)
+        assert panel.values.dtype == np.float64 and not panel.values.flags.writeable
+
+    def test_simulated_values_are_read_only_and_own_their_data(self, ref_params, plan_one):
+        grid = Grid(J=3, T=1.0)
+        observed = simulate_panel(ref_params, grid, 4, seed=2)
+        counterfactual = simulate_counterfactual(ref_params, plan_one, grid, 4, seed=2)
+        for panel in (observed, counterfactual):
+            assert panel.values.flags.owndata and not panel.values.flags.writeable
+            assert panel.values.flags.c_contiguous
+
     def test_unit_count_is_derived_from_values(self):
         panel = TrajectoryPanel(grid=Grid(J=3, T=1.0), values=np.zeros((5, 4, 2)))
         assert panel.n == 5
