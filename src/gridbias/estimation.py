@@ -227,33 +227,33 @@ def _resample_totals(stats: np.ndarray, n_boot: int, seed: int) -> np.ndarray:
     n))``; row ``b`` of that draw is replicate ``b``.
 
     The draw is taken in blocks of at most ``RESAMPLE_BLOCK // n``
-    replicates (one at least), which continue the one stream: for an
-    ``int32`` draw numpy's bounded generator keeps its spare 32-bit half
-    word in the bit generator between calls, and it gives the values of
-    the default ``int64`` draw whenever ``n < 2**31``.  A block's offsets
-    ``n b`` are added to its indices in place, ``np.add.at`` counts the
-    flat indices, which stay below ``max(RESAMPLE_BLOCK, n)``, into one
-    reused float buffer, and one ``matmul`` of the whole buffer gives the
-    block's totals.
+    replicates (one at least), which continue the one stream: for every
+    ``n < 2**32`` numpy's bounded generator draws from 32-bit outputs and
+    keeps the spare half of a 64-bit output in the bit generator between
+    calls.  A block's offsets ``n b`` are added to its indices in place,
+    ``np.add.at`` counts the flat indices, which stay below
+    ``max(RESAMPLE_BLOCK, n)``, into one reused float buffer, and one
+    ``matmul`` of the whole buffer gives the block's totals.  The indices
+    are kept as ``np.intp``, which ``np.add.at`` counts without a cast.
     """
     n = len(stats)
     rows = min(n_boot, max(1, RESAMPLE_BLOCK // n))
     rng = np.random.default_rng(_seed_sequence(seed, 1))
     diff = stats - stats[0]
-    offsets = n * np.arange(rows, dtype=np.int32)[:, None]
+    offsets = n * np.arange(rows)[:, None]
     counts = np.empty((rows, n))
-    block = np.empty((rows, stats.shape[1]))
-    totals = np.empty((n_boot, stats.shape[1]))
+    flat = counts.reshape(-1)
+    # Whole blocks, so every block's product has one shape and the BLAS
+    # sums each replicate's row the same way; the last block's spare rows
+    # are cut off.
+    totals = np.empty((-(-n_boot // rows) * rows, stats.shape[1]))
     for start in range(0, n_boot, rows):
-        m = min(rows, n_boot - start)
-        idx = rng.integers(0, n, size=(m, n), dtype=np.int32)
-        idx += offsets[:m]
+        idx = rng.integers(0, n, size=(min(rows, n_boot - start), n))
+        idx += offsets[: len(idx)]
         counts.fill(0.0)
-        np.add.at(counts.reshape(-1), idx, 1.0)
-        # The whole buffer, so every block's product has one shape and the
-        # BLAS sums each replicate's row the same way.
-        np.matmul(counts, diff, out=block)
-        totals[start : start + m] = block[:m]
+        np.add.at(flat, idx, 1.0)
+        np.matmul(counts, diff, out=totals[start : start + rows])
+    totals = totals[:n_boot]
     totals += n * stats[0]
     return totals
 

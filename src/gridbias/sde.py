@@ -172,8 +172,10 @@ class TrajectoryPanel:
     The panel keeps a float64 ``ndarray`` that is read-only and owns its
     data, as a simulator hands over; anything else is copied and the copy
     frozen, so a caller's later writes to the array it passed do not reach
-    the panel.  Panels are safe to share as long as no caller makes an
-    array it handed over writable again.
+    the panel.  An array that is kept is shared with the caller: writes
+    through a writable view of it made before it was frozen, or after the
+    caller made it writable again, reach the panel.  Pass a copy when
+    such a view may exist.
     """
 
     grid: Grid
@@ -489,10 +491,13 @@ def simulate_counterfactual(
 def _simulated_panel(grid: Grid, values: np.ndarray) -> TrajectoryPanel:
     """The panel of a simulator's own ``values`` buffer, frozen and handed
     over without a copy; ``OverflowError`` when its recursion left the
-    double range (an inf, or a NaN made from one)."""
-    if not np.isfinite(values).all():
-        raise OverflowError("simulated panel exceeds the double range")
-    return TrajectoryPanel(grid=grid, values=_frozen(values))
+    double range (an inf, or a NaN made from one).  The buffer has the
+    panel's shape by construction, so the panel's finiteness check is the
+    only one that can fail."""
+    try:
+        return TrajectoryPanel(grid=grid, values=_frozen(values))
+    except ValueError:
+        raise OverflowError("simulated panel exceeds the double range") from None
 
 
 def subsample_panel(panel: TrajectoryPanel, factor: int) -> TrajectoryPanel:

@@ -302,6 +302,16 @@ class TestBootstrapCi:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_interval_of_500_units_is_pinned(self, ref_params, plan_one, plan_zero):
+        # From 385 units on, OpenBLAS sums a block's product in a different
+        # order from one (n_boot, n) product, so these last digits moved
+        # when the replicates were first formed in blocks (they read
+        # 6.713089874686404 and 7.205387017045888 before); pinned so that
+        # any later move is deliberate.
+        panel = simulate_panel(ref_params, Grid(J=8, T=1.0), 500, seed=500)
+        interval = bootstrap_ci(panel, plan_one, plan_zero, 500, 0.05, seed=500)
+        assert [repr(x) for x in interval] == ["6.7130898746863705", "7.205387017049734"]
+
     def test_parameter_validation(self, ref_params, plan_one, plan_zero):
         panel = simulate_panel(ref_params, Grid(J=4, T=1.0), 10, seed=1)
         with pytest.raises(ValueError):
@@ -347,37 +357,20 @@ class TestResampleTotals:
         assert totals.tobytes() == totals_of_draws(stats, draws).tobytes()
 
     @given(
-        n=st.integers(1, 2**31 - 1)
-        | st.sampled_from([1, 2, 3, 2**16, 2**16 + 1, 2**30 + 1, 2**31 - 2, 2**31 - 1]),
-        seed=st.integers(0, 2**64 - 1),
-    )
-    def test_int32_draw_is_the_default_int64_draw(self, n, seed):
-        # _resample_totals draws its indices as int32; for every n < 2**31
-        # numpy's bounded generator gives the values of the documented
-        # int64 draw from the same stream.
-        def draw(dtype):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-            return rng.integers(0, n, size=(3, 333), dtype=dtype)
-
-        narrow, wide = draw(np.int32), draw(np.int64)
-        assert narrow.dtype == np.int32
-        np.testing.assert_array_equal(narrow.astype(np.int64), wide)
-
-    @given(
         n=st.integers(1, 2**31 - 1) | st.sampled_from([1, 2, 3, 129, 2**31 - 1]),
         sizes=st.lists(st.integers(0, 7), min_size=1, max_size=6),
         seed=st.integers(0, 2**64 - 1),
     )
-    def test_consecutive_int32_draws_continue_one_draw(self, n, sizes, seed):
-        # The blocks of _resample_totals: an int32 draw of an odd number of
+    def test_consecutive_draws_continue_one_draw(self, n, sizes, seed):
+        # The blocks of _resample_totals: a draw of an odd number of
         # values leaves its spare 32-bit half word in the bit generator,
         # and the next call starts from it.
         rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-        pieces = [rng.integers(0, n, size=(m, 3), dtype=np.int32) for m in sizes]
+        pieces = [rng.integers(0, n, size=(m, 3)) for m in sizes]
         whole = np.random.default_rng(np.random.SeedSequence((seed, 1))).integers(
             0, n, size=(sum(sizes), 3)
         )
-        np.testing.assert_array_equal(np.concatenate(pieces).astype(np.int64), whole)
+        np.testing.assert_array_equal(np.concatenate(pieces), whole)
 
     @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**63 + 11, 2**64 - 1])
     def test_draws_are_no_unit_stream_of_the_seed(self, seed):
