@@ -25,15 +25,13 @@ is built per unit: :func:`_unit_seed_block` runs ``SeedSequence``'s hash
 on ``UNIT_SEED_BLOCK`` units at once in NumPy's uint32 arithmetic, and the
 generator's ``bit_generator.seed_seq`` holds the unit's words, not a
 ``SeedSequence`` (nothing spawns from a unit stream).  A block takes about
-75 us against 9 us per unit for a ``SeedSequence`` and ``PCG64`` of its
-own, so a panel of fewer than about 9 units is slower than that would be
-(the default ``simulate.n_units: 5`` pays about 0.03 ms a panel), and
-every larger one is faster.
+as long as six units' own ``SeedSequence`` and ``PCG64`` (see
+:func:`unit_stream`), so a panel of fewer than about 8 units is slower
+than that would be, and every larger one is faster.
 
-A simulated panel is built in its own buffer: :func:`simulate_panel`
-draws each unit's normals into the unit's row of the panel array and runs
-the recursion over them in place, and both simulators hand their buffer,
-frozen, to :class:`TrajectoryPanel`, which keeps it without a copy.
+A simulated panel is built in one buffer: :func:`simulate_panel` draws
+each unit's normals into the unit's row and runs the recursion over them
+in place, and :class:`TrajectoryPanel` keeps a frozen copy of it.
 
 :func:`_seed_sequence` builds every ``SeedSequence`` of the package: the
 bootstrap's ``(seed, 1)`` and the CLI's seed derivation.  This module
@@ -169,27 +167,17 @@ class Grid:
 class TrajectoryPanel:
     """``n`` units observed on a grid; ``values[i, k]`` is ``(Y, W)``.
 
-    The panel keeps a float64 ``ndarray`` that is read-only and owns its
-    data, as a simulator hands over; anything else is copied and the copy
-    frozen, so a caller's later writes to the array it passed do not reach
-    the panel.  An array that is kept is shared with the caller: writes
-    through a writable view of it made before it was frozen, or after the
-    caller made it writable again, reach the panel.  Pass a copy when
-    such a view may exist.
+    The panel keeps its own C-ordered float64 copy of ``values``, frozen,
+    so panels are safe to share: no write by the caller, through the array
+    it passed or any view of it, reaches the panel, and an estimate depends
+    only on the values, not on the layout they were passed in.
     """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        v = self.values
-        if not (
-            type(v) is np.ndarray
-            and v.dtype == np.float64
-            and v.flags.owndata
-            and not v.flags.writeable
-        ):
-            v = _frozen(np.array(v, dtype=float))
+        v = _frozen(np.array(self.values, dtype=np.float64, order="C"))
         if v.ndim != 3 or v.shape[1:] != (self.grid.J + 1, 2):
             raise ValueError(f"values shape {v.shape} is not (n, {self.grid.J + 1}, 2)")
         if not np.all(np.isfinite(v)):
@@ -282,10 +270,12 @@ def _key_words(key) -> list[int]:
 
 def _seed_sequence(*key: int) -> np.random.SeedSequence:
     """``SeedSequence(key)`` from the key's 32-bit words (see
-    :func:`_key_words`): the entropy it builds from the tuple, at under half
-    the cost.  A key of at most four words is mixed as if zero-padded to
-    four, so ``(seed,)`` and ``(seed, 0, 0)`` are one stream: the entry after
-    the seed names a key's role, and no two roles share it."""
+    :func:`_key_words`): the entropy it builds from the tuple, at about half
+    the cost (4.1 against 7.3 us; :func:`gridbias.cli.derive_seed` takes
+    28% less, 9.0 against 12.5 us).  A key of at most four words is mixed
+    as if zero-padded to four, so ``(seed,)`` and ``(seed, 0, 0)`` are one
+    stream: the entry after the seed names a key's role, and no two roles
+    share it."""
     return np.random.SeedSequence(np.array(_key_words(key), dtype=np.uint32))
 
 
@@ -382,10 +372,11 @@ def unit_stream(seed: int, unit: int) -> np.random.Generator:
     ``bit_generator.seed_seq`` holds those words, not a ``SeedSequence``: a
     unit stream spawns nothing.
 
-    A block costs about 75 us against about 9 us for one unit's own
-    ``SeedSequence`` and ``PCG64``, so a panel of fewer than about 9 units
-    is slower than that, and a lone call with a fresh seed goes from about
-    9 to about 70 us.
+    A block costs about 170 us and each unit's generator about 4 us more,
+    against about 27 us per unit for its own ``SeedSequence`` and
+    ``PCG64`` (``timeit`` medians, 2-core Xeon, numpy 2.4.6): a 200-unit
+    panel takes about 5 us a unit, and a panel of fewer than about 8 units
+    is slower than with its own streams.
     """
     # Python ints as cache keys; a negative entry fails in _key_words.
     seed, unit = operator.index(seed), operator.index(unit)
@@ -407,10 +398,9 @@ def simulate_panel(params: ModelParams, grid: Grid, n: int, seed: int) -> Trajec
     advanced through the exact one-step transition; marginal laws carry no
     discretization error.  Deterministic given (params, grid, n, seed).
 
-    The normals are drawn into the panel's own buffer, unit ``i``'s
+    The normals are drawn into one ``(n, J + 1, 2)`` buffer, unit ``i``'s
     ``2 (J + 1)`` of them into its row, and the recursion overwrites each
-    step's pair with its state in place; the panel takes that buffer
-    without a copy.
+    step's pair with its state in place.
     """
     if n < 1:
         raise ValueError("need at least one unit")
@@ -489,13 +479,12 @@ def simulate_counterfactual(
 
 
 def _simulated_panel(grid: Grid, values: np.ndarray) -> TrajectoryPanel:
-    """The panel of a simulator's own ``values`` buffer, frozen and handed
-    over without a copy; ``OverflowError`` when its recursion left the
-    double range (an inf, or a NaN made from one).  The buffer has the
-    panel's shape by construction, so the panel's finiteness check is the
-    only one that can fail."""
+    """The panel of a simulator's ``values`` buffer; ``OverflowError`` when
+    its recursion left the double range (an inf, or a NaN made from one).
+    The buffer has the panel's shape by construction, so the panel's
+    finiteness check is the only one that can fail."""
     try:
-        return TrajectoryPanel(grid=grid, values=_frozen(values))
+        return TrajectoryPanel(grid=grid, values=values)
     except ValueError:
         raise OverflowError("simulated panel exceeds the double range") from None
 
@@ -563,7 +552,7 @@ def write_panel_csv(panel: TrajectoryPanel, path) -> None:
         positional = _repr_is_positional(varying)
         for i, unit in enumerate(varying):
             # One C-ordered row, as orjson needs: a copy only where the fields
-            # are not contiguous (a shared-W unit's Y column, a Fortran panel).
+            # are not contiguous (a shared-W unit's Y column).
             row = unit.ravel()
             if positional[i]:
                 fields = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")

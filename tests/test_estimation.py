@@ -616,6 +616,28 @@ class TestZeta:
         b = zeta(panel, plan_one, plan_zero, 100, 0.05, seed=37)
         assert a == b
 
+    # The estimates depend on the values only: a Fortran-ordered copy of
+    # a panel gives the same bits.  n = 400 covers panels past 384 units,
+    # whose bootstrap products OpenBLAS sums another way (see
+    # test_interval_of_500_units_is_pinned).
+    @pytest.mark.parametrize("J, n", [(40, 200), (16, 50), (200, 30), (8, 400)])
+    def test_fortran_ordered_values_give_the_same_bits(self, ref_params, plan_one, plan_zero, J, n):
+        panel = simulate_panel(ref_params, Grid(J=J, T=1.0), n, seed=J + n)
+        fortran = TrajectoryPanel(grid=panel.grid, values=np.asfortranarray(panel.values))
+
+        def bits(p):
+            rep = zeta(p, plan_one, plan_zero, 200, 0.05, seed=5)
+            return [
+                float(x).hex()
+                for x in (
+                    estimate_contrast(p, plan_one, plan_zero),
+                    *bootstrap_ci(p, plan_one, plan_zero, 200, 0.05, seed=5),
+                    rep.tau_hat, rep.tau_hat_half, rep.ci_lower, rep.ci_upper, rep.zeta,
+                )
+            ]
+
+        assert bits(fortran) == bits(panel)
+
 
 class TestNaiveEstimandMonteCarlo:
     @pytest.mark.slow

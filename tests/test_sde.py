@@ -887,7 +887,7 @@ class TestPanelCsvBytes:
     def test_fortran_ordered_values(self, ref_params, tmp_path):
         panel = simulate_panel(ref_params, Grid(J=3, T=1.0), 2, seed=6)
         fortran = TrajectoryPanel(grid=panel.grid, values=np.asfortranarray(panel.values))
-        assert not fortran.values[0].flags.c_contiguous
+        assert fortran.values.flags.c_contiguous
         self._assert_same_bytes(fortran, tmp_path)
 
     def test_w_columns_equal_but_for_the_sign_of_zero_are_not_shared(
@@ -947,6 +947,40 @@ class TestPanelCsvWriteFailures:
         assert list(tmp_path.iterdir()) == [path]
 
 
+# Each kind of ``values`` a caller may pass, made from the caller's
+# writable float64 array.
+CALLER_INPUTS = {
+    "array": lambda base: base,
+    "view": lambda base: base[:, :, :],
+    "read-only array": lambda base: base,
+    "read-only view": lambda base: base[:, :, :],
+    "float32": lambda base: base.astype(np.float32),
+    "int64": lambda base: base.astype(np.int64),
+    "fortran": np.asfortranarray,
+    "nested list": lambda base: base.tolist(),
+}
+
+
+def caller_input(kind):
+    """``values`` of ``kind`` holding ``0, 1, ..., 23`` as a (3, 4, 2)
+    panel, and a function that then writes ``-1`` through everything the
+    caller holds: the array, its base, or the nested list."""
+    base = np.arange(24.0).reshape(3, 4, 2).copy()
+    values = CALLER_INPUTS[kind](base)
+    if kind.startswith("read-only"):
+        values.setflags(write=False)
+
+    def write():
+        base.setflags(write=True)
+        base[...] = -1.0
+        if isinstance(values, list):
+            values[0][0][0] = -1.0
+        elif values.base is None:
+            values[...] = -1
+
+    return values, write
+
+
 class TestPanelType:
     def test_values_are_frozen(self, ref_params):
         panel = simulate_panel(ref_params, Grid(J=3, T=1.0), 2, seed=1)
@@ -964,34 +998,23 @@ class TestPanelType:
         with pytest.raises(ValueError, match=r"is not \(n, 4, 2\)"):
             TrajectoryPanel(grid=Grid(J=3, T=1.0), values=np.zeros(shape))
 
-    @pytest.mark.parametrize("view", [False, True], ids=["array", "view"])
-    def test_caller_mutation_does_not_reach_the_panel(self, view):
-        base = np.arange(24.0).reshape(3, 4, 2)
-        values = base[:, :, :] if view else base
+    @pytest.mark.parametrize("kind", CALLER_INPUTS)
+    def test_values_are_a_frozen_c_ordered_float64_copy(self, kind):
+        values, write = caller_input(kind)
         panel = TrajectoryPanel(grid=Grid(J=3, T=1.0), values=values)
-        base[...] = -1.0
-        np.testing.assert_array_equal(panel.values, np.arange(24.0).reshape(3, 4, 2))
+        assert panel.values is not values
+        assert panel.values.dtype == np.float64 and panel.values.flags.c_contiguous
         assert not panel.values.flags.writeable
+        write()
+        np.testing.assert_array_equal(panel.values, np.arange(24.0).reshape(3, 4, 2))
 
-    def test_read_only_view_of_a_writable_array_is_copied(self):
-        base = np.zeros((2, 4, 2))
-        values = base[:, :, :]
-        values.setflags(write=False)
-        panel = TrajectoryPanel(grid=Grid(J=3, T=1.0), values=values)
-        base[...] = 1.0
-        np.testing.assert_array_equal(panel.values, 0.0)
-
-    def test_read_only_owned_array_is_kept(self):
+    def test_view_taken_before_freezing_cannot_change_the_panel(self):
         values = np.zeros((2, 4, 2))
-        values.setflags(write=False)
-        assert TrajectoryPanel(grid=Grid(J=3, T=1.0), values=values).values is values
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
-    def test_other_dtypes_are_copied_to_float64(self, dtype):
-        values = np.zeros((2, 4, 2), dtype=dtype)
+        view = values[:, :, :]
         values.setflags(write=False)
         panel = TrajectoryPanel(grid=Grid(J=3, T=1.0), values=values)
-        assert panel.values.dtype == np.float64 and not panel.values.flags.writeable
+        view[...] = 1.0
+        np.testing.assert_array_equal(panel.values, 0.0)
 
     def test_simulated_values_are_read_only_and_own_their_data(self, ref_params, plan_one):
         grid = Grid(J=3, T=1.0)
