@@ -165,7 +165,7 @@ class Grid:
 
 @dataclass(frozen=True)
 class TrajectoryPanel:
-    """``n`` units observed on a grid; ``values[i, k]`` is ``(Y, W)``.
+    """``n >= 1`` units observed on a grid; ``values[i, k]`` is ``(Y, W)``.
 
     The panel keeps its own C-ordered float64 copy of ``values``, frozen,
     so panels are safe to share: no write by the caller, through the array
@@ -180,6 +180,8 @@ class TrajectoryPanel:
         v = _frozen(np.array(self.values, dtype=np.float64, order="C"))
         if v.ndim != 3 or v.shape[1:] != (self.grid.J + 1, 2):
             raise ValueError(f"values shape {v.shape} is not (n, {self.grid.J + 1}, 2)")
+        if len(v) == 0:
+            raise ValueError("panel needs at least one unit")
         if not np.all(np.isfinite(v)):
             raise ValueError("panel values must be finite")
         object.__setattr__(self, "values", v)
@@ -481,8 +483,9 @@ def simulate_counterfactual(
 def _simulated_panel(grid: Grid, values: np.ndarray) -> TrajectoryPanel:
     """The panel of a simulator's ``values`` buffer; ``OverflowError`` when
     its recursion left the double range (an inf, or a NaN made from one).
-    The buffer has the panel's shape by construction, so the panel's
-    finiteness check is the only one that can fail."""
+    The buffer has the panel's shape by construction and at least one unit
+    by the simulators' own ``n < 1`` checks, so the panel's finiteness
+    check is the only one that can fail."""
     try:
         return TrajectoryPanel(grid=grid, values=values)
     except ValueError:
@@ -536,8 +539,7 @@ def write_panel_csv(panel: TrajectoryPanel, path) -> None:
 
     values = panel.values
     w_bits = values.view(np.uint64)[:, :, 1]
-    # A panel of no units has no W column to share: its file is the header.
-    if len(values) and np.all(w_bits == w_bits[0]):
+    if np.all(w_bits == w_bits[0]):
         varying, w_text = values[:, :, :1], [repr(w) for w in values[0, :, 1].tolist()]
     else:
         varying, w_text = values, ["%s"] * (panel.grid.J + 1)

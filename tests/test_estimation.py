@@ -236,7 +236,6 @@ class TestEstimateContrast:
         se = (hi - lo) / (2 * 1.96)
         assert abs(tau - target) < 4 * se
 
-    @pytest.mark.slow
     def test_error_shrinks_with_sample_size(self, ref_params, plan_one, plan_zero):
         # Mean absolute estimation error over 20 seeds must shrink along
         # the sample-size ladder.
@@ -640,7 +639,6 @@ class TestZeta:
 
 
 class TestNaiveEstimandMonteCarlo:
-    @pytest.mark.slow
     def test_formula_matches_regression_plug_in(self, ref_params, plan_one):
         # The outcome-history-only estimand: regress Y_J on the last state,
         # plug in the schedule value, average over the factual lag outcome.

@@ -357,7 +357,6 @@ class TestSimulatePanel:
         with pytest.raises(OverflowError, match="^simulated panel exceeds the double range$"):
             simulate_panel(p, Grid(J=8, T=1.0), 3, seed=1)
 
-    @pytest.mark.slow
     @pytest.mark.parametrize("refine", [2, 3])
     def test_refinement_then_subsampling_matches_in_law(self, ref_params, refine):
         # The sampler is exact in law: simulating on a grid refined by any
@@ -517,74 +516,87 @@ class TestSimulateCounterfactual:
             simulate_counterfactual(p, plan, Grid(J=10, T=1.0), 3, seed=1)
 
 
-@pytest.mark.slow
-class TestEulerMaruyamaOracle:
-    """Cross-check exact sampling against a fine Euler-Maruyama scheme.
+OSCILLATOR_BETA = np.array([[0.5, -5.0], [3.0, -0.5]])
 
-    The EM mean recursion is linear, so its discretization bias is exactly
-    ``((I - h beta)^(T/h) - e^{-beta T}) init_mean``; sampled terminal
-    means must agree within 4 combined standard errors plus that bias.
+
+def em_observational_law(params, h):
+    """Exact terminal law of the Euler-Maruyama scheme
+    ``X <- D X + sqrt(h) sigma z`` with ``D = I - h beta`` from
+    ``X_0 ~ N(init_mean, init_cov)``: the mean map ``D^(T/h)`` (the mean is
+    ``D^(T/h) init_mean``) and the covariance, ``P <- D P D' + h sigma
+    sigma'`` from ``P = init_cov``."""
+    steps = round(params.horizon / h)
+    drift = np.eye(2) - h * params.beta
+    noise = h * params.sigma @ params.sigma.T
+    cov = params.init_cov
+    for _ in range(steps):
+        cov = drift @ cov @ drift.T + noise
+    return np.linalg.matrix_power(drift, steps), cov
+
+
+def em_counterfactual_law(params, plan, h):
+    """Exact terminal mean and variance of the scalar Euler-Maruyama
+    scheme ``Y <- (1 - h b11) Y - h b12 w + sqrt(h) (s11 z1 + s12 z2)``
+    from ``Y_0 ~ N(init_mean[0], init_cov[0, 0])``."""
+    steps = round(params.horizon / h)
+    b11, b12 = params.beta[0, 0], params.beta[0, 1]
+    s2 = params.sigma[0, 0] ** 2 + params.sigma[0, 1] ** 2
+    m, v = params.init_mean[0], params.init_cov[0, 0]
+    for k in range(steps):
+        m = (1 - h * b11) * m - h * b12 * plan(k * h)
+        v = (1 - h * b11) ** 2 * v + h * s2
+    return m, v
+
+
+class TestEulerMaruyamaOracle:
+    """Cross-check the exact samplers' terminal samples against the exact
+    terminal law of a fine Euler-Maruyama (EM) scheme.
+
+    The EM mean and covariance recursions are linear, so the scheme's
+    terminal law is computed exactly, without sampling it.  A sampled mean
+    must agree with the EM mean within 4 standard errors plus the EM
+    mean's bias, known exactly: ``((I - h beta)^(T/h) - e^{-beta T})
+    init_mean``.  A sampled covariance entry must agree with the EM one
+    within 4 standard errors plus ``|law(h) - law(2h)|``: EM has weak
+    order one (Kloeden and Platen 1992, ch. 14), so ``law(h) - law = c h
+    + O(h^2)`` and ``law(h) - law(2h) = -c h + O(h^2)`` bounds the bias of
+    ``law(h)`` to first order.  A simulator whose noise scale is off by a
+    tenth, or its initial spread by a fifth, fails the covariance checks.
     """
 
-    def test_observational_terminal_mean(self, ref_params):
+    @pytest.mark.parametrize("beta", [REF_BETA, OSCILLATOR_BETA], ids=["reference", "oscillator"])
+    def test_observational_terminal_law(self, beta):
+        params = ModelParams(
+            beta=beta, sigma=REF_SIGMA, init_mean=REF_MEAN, init_cov=REF_COV, horizon=1.0
+        )
         h, n = 1e-4, 100_000
-        steps = round(ref_params.horizon / h)
-        rng = np.random.default_rng(777)
-        x = ref_params.init_mean + rng.standard_normal((n, 2)) @ np.linalg.cholesky(
-            ref_params.init_cov
-        ).T
-        drift = np.eye(2) - h * ref_params.beta
-        scale = math.sqrt(h)
-        # x <- x @ drift.T + (scale * z) @ sigma.T with fresh normals z, in
-        # place: the same draws and operations, without a new array per step.
-        drift_t = np.ascontiguousarray(drift.T)
-        sigma_t = np.ascontiguousarray(ref_params.sigma.T)
-        z, noise = np.empty((n, 2)), np.empty((n, 2))
-        for _ in range(steps):
-            rng.standard_normal(out=z)
-            np.multiply(scale, z, out=z)
-            np.matmul(z, sigma_t, out=noise)
-            np.matmul(x, drift_t, out=z)
-            np.add(z, noise, out=x)
-        em_mean = x.mean(axis=0)
-        em_se = x.std(axis=0, ddof=1) / math.sqrt(n)
+        x = simulate_panel(params, Grid(J=10, T=params.horizon), n, seed=778).values[:, -1, :]
+        em_map, em_cov = em_observational_law(params, h)
+        _, em_cov_2h = em_observational_law(params, 2 * h)
 
-        exact = simulate_panel(ref_params, Grid(J=10, T=ref_params.horizon), n, seed=778)
-        ex_mean = exact.values[:, -1, :].mean(axis=0)
-        ex_se = exact.values[:, -1, :].std(axis=0, ddof=1) / math.sqrt(n)
+        se = x.std(axis=0, ddof=1) / math.sqrt(n)
+        bias = np.abs((em_map - matexp(params.beta, -params.horizon)) @ params.init_mean)
+        assert np.all(np.abs(x.mean(axis=0) - em_map @ params.init_mean) < 4 * se + bias)
 
-        em_map = np.linalg.matrix_power(drift, steps)
-        bias = np.abs((em_map - matexp(ref_params.beta, -ref_params.horizon)) @ ref_params.init_mean)
-        tol = 4 * np.sqrt(em_se**2 + ex_se**2) + bias
-        assert np.all(np.abs(em_mean - ex_mean) < tol)
+        s = np.cov(x.T)
+        var = np.diag(s)
+        se_cov = np.sqrt((np.outer(var, var) + s**2) / n)
+        assert np.all(np.abs(s - em_cov) < 4 * se_cov + np.abs(em_cov - em_cov_2h))
 
-    def test_counterfactual_terminal_mean(self, ref_params, plan_one):
-        h, n = 2e-4, 50_000
-        steps = round(ref_params.horizon / h)
-        b11, b12 = ref_params.beta[0, 0], ref_params.beta[0, 1]
-        s_row = ref_params.sigma[0, :]
-        rng = np.random.default_rng(801)
-        y = ref_params.init_mean[0] + math.sqrt(ref_params.init_cov[0, 0]) * rng.standard_normal(n)
-        scale = math.sqrt(h)
-        for k in range(steps):
-            w = plan_one(k * h)
-            y = y - (b11 * y + b12 * w) * h + scale * (rng.standard_normal((n, 2)) @ s_row)
-        em_mean = y.mean()
-        em_se = y.std(ddof=1) / math.sqrt(n)
-
-        exact = simulate_counterfactual(ref_params, plan_one, Grid(J=10, T=1.0), n, seed=802)
-        ex = exact.values[:, -1, 0]
-        ex_se = ex.std(ddof=1) / math.sqrt(n)
-
-        # scalar EM mean recursion: m' = (1 - h b11) m - h b12 w
-        m = ref_params.init_mean[0]
-        for k in range(steps):
-            m = (1 - h * b11) * m - h * b12 * plan_one(k * h)
+    def test_counterfactual_terminal_law(self, ref_params, plan_one):
         from gridbias import true_eta
 
+        h, n = 2e-4, 50_000
+        panel = simulate_counterfactual(ref_params, plan_one, Grid(J=10, T=1.0), n, seed=802)
+        y = panel.values[:, -1, 0]
+        m, v = em_counterfactual_law(ref_params, plan_one, h)
+        _, v_2h = em_counterfactual_law(ref_params, plan_one, 2 * h)
+
         bias = abs(m - true_eta(ref_params, plan_one))
-        tol = 4 * math.sqrt(em_se**2 + ex_se**2) + bias
-        assert abs(em_mean - ex.mean()) < tol
+        assert abs(y.mean() - m) < 4 * y.std(ddof=1) / math.sqrt(n) + bias
+
+        var = y.var(ddof=1)
+        assert abs(var - v) < 4 * var * math.sqrt(2 / n) + abs(v - v_2h)
 
 
 class TestSubsamplePanel:
@@ -812,10 +824,6 @@ class TestPanelCsvBytes:
     def test_single_unit_single_step(self, ref_params, tmp_path):
         self._assert_same_bytes(simulate_panel(ref_params, Grid(J=1, T=1.0), 1, seed=3), tmp_path)
 
-    def test_zero_unit_panel_is_the_header_alone(self, tmp_path):
-        panel = TrajectoryPanel(grid=Grid(J=2, T=1.0), values=np.empty((0, 3, 2)))
-        assert self._assert_same_bytes(panel, tmp_path).read_text() == "unit,k,t,Y,W\n"
-
     def test_extreme_and_signed_zero_reprs(self, tmp_path, monkeypatch):
         # -0.0, the smallest subnormal and exponent-notation reprs.
         extremes = np.reshape(
@@ -992,6 +1000,12 @@ class TestPanelType:
             TrajectoryPanel(grid=Grid(J=3, T=1.0), values=np.zeros((2, 3, 2)))
         with pytest.raises(ValueError):
             TrajectoryPanel(grid=Grid(J=1, T=1.0), values=np.full((1, 2, 2), np.nan))
+
+    def test_rejects_zero_units(self):
+        # A panel of no units has nothing to estimate from, and its CSV (the
+        # header alone) is one read_panel_csv refuses.
+        with pytest.raises(ValueError, match="^panel needs at least one unit$"):
+            TrajectoryPanel(grid=Grid(J=4, T=1.0), values=np.empty((0, 5, 2)))
 
     @pytest.mark.parametrize("shape", [(3, 2), (2, 4, 2, 1), (2, 4, 3)])
     def test_values_must_be_units_by_steps_by_two(self, shape):
